@@ -63,6 +63,7 @@ def _fmt_tree(obj):
 
 
 def dump_json(doc) -> str:
+    """A report document with every float rounded by ``fmt``."""
     return json.dumps(_fmt_tree(doc), indent=2) + "\n"
 
 
@@ -132,10 +133,6 @@ def parse_scenario(doc: dict) -> residuals.SolitonScenario:
     phi = np.asarray(doc.get("phi", [0.0, 0.0, 0.0]), dtype=float)
     if phi.shape != (3,):
         raise ScenarioFileError("phi must have 3 components")
-    if not h > 0:
-        raise ScenarioFileError(f"h = {h:g} must be positive")
-    if not kappa > 0:
-        raise ScenarioFileError(f"kappa = {kappa:g} must be positive")
     sc = residuals.SolitonScenario(
         model=model, contorsion=contorsion, h=h, kappa=kappa, phi=phi
     )
@@ -256,8 +253,8 @@ def cmd_construct(args) -> int:
                   file=sys.stderr)
         return EXIT_ERROR
 
-    doc = scenario_to_doc(built)
-    payload = dump_json(doc)
+    # full precision: json writes each float as its shortest round-trip repr
+    payload = json.dumps(scenario_to_doc(built), indent=2) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as f:
             f.write(payload)

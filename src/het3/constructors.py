@@ -186,8 +186,7 @@ def classify(sc: residuals.SolitonScenario, tol: float = 1e-9) -> Classification
     HEISENBERG_TYPE: eigenvalues (mu, -mu, -mu) with mu > 0;
     HYPERBOLIC_TYPE: Einstein with s < 0; FLAT: Ric = 0.
     """
-    data = geometry.curvature(sc.model, geometry.levi_civita(sc.model))
-    vals, vecs = np.linalg.eigh(data.ricci)
+    vals, vecs = np.linalg.eigh(sc.curvature_g.ricci)
     if np.max(np.abs(vals)) <= tol:
         return ClassificationVerdict("FLAT", vals, None)
     if np.max(vals) - np.min(vals) <= tol:

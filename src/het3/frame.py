@@ -24,6 +24,9 @@ import numpy as np
 # Cyclic index pairs: *e_a = e_i ^ e_j for (i, j) = _PAIRS[a].
 _PAIRS = ((1, 2), (2, 0), (0, 1))
 
+# Levi-Civita symbol eps_{ijk} = <e_i x e_j, e_k>.
+EPS = np.cross(np.eye(3)[:, None], np.eye(3))
+
 
 def as_vec(v) -> np.ndarray:
     """Coerce to a float vector of shape (3,)."""
@@ -80,21 +83,8 @@ class CurvatureOperator:
     def __add__(self, other: "CurvatureOperator") -> "CurvatureOperator":
         return CurvatureOperator(self.entries + other.entries)
 
-    def __sub__(self, other: "CurvatureOperator") -> "CurvatureOperator":
-        return CurvatureOperator(self.entries - other.entries)
-
 
 ZERO_CURVATURE = CurvatureOperator(np.zeros((3, 3)))
-
-
-def hodge_star(v) -> Form2:
-    """Hodge star of a vector/1-form; *e1 = e2 ^ e3 cyclically."""
-    return Form2(as_vec(v).copy())
-
-
-def hodge_star_inv(w: Form2) -> np.ndarray:
-    """Inverse Hodge star; exact involution, ** = Id."""
-    return w.dual.copy()
 
 
 def wedge(u, v) -> Form2:
@@ -132,11 +122,6 @@ def curv_norm_sq(r: CurvatureOperator) -> float:
     return float(np.sum(r.entries * r.entries))
 
 
-def curv_wedge_trace(r: CurvatureOperator) -> float:
-    """Coefficient of the 4-form <R ^ R>; identically zero on a 3-manifold."""
-    return 0.0
-
-
 def frame_vector(i: int) -> np.ndarray:
     """The i-th frame vector (0-based)."""
     e = np.zeros(3)
@@ -146,11 +131,4 @@ def frame_vector(i: int) -> np.ndarray:
 
 def star_matrix(zeta) -> np.ndarray:
     """The 2-form *zeta as a skew 3x3 grid: (*zeta)_{ij} = eps_{ijk} zeta_k."""
-    z = as_vec(zeta)
-    return np.array(
-        [
-            [0.0, z[2], -z[1]],
-            [-z[2], 0.0, z[0]],
-            [z[1], -z[0], 0.0],
-        ]
-    )
+    return EPS @ as_vec(zeta)

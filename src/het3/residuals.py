@@ -14,6 +14,13 @@ s = 3 delta phi + 2|phi|^2 - h^2/2 and, for skew torsion, the recombined
 identity obtained by subtracting the trace identity from the trace of the
 Einstein equation.
 
+Each scenario derives its geometry once: ``SolitonScenario.connection``
+(the torsion connection D, whose ``.base`` holds the Levi-Civita
+coefficients), ``curvature_g`` (Riemann, Ricci and scalar curvature of g)
+and ``curvature_D`` (the curvature R^D) are cached on first use, and every
+residual below reads them from there.  Every reader shares the cached
+objects, so neither they nor the scenario's arrays may be changed in place.
+
 Sign convention for the divergence: (d*_D R)(X) = -(D_{e_i} R)_{e_i, X},
 which reproduces the skew-torsion specialization
 d^{nabla} Ric(X) + 3 alpha * Ric_0(X) componentwise (the sign of the
@@ -23,12 +30,21 @@ alpha-odd term goes with the fixed 2-form action convention).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import geometry, torsion
 from .errors import NonPositiveKappa, NotSkewTorsion, ScenarioValidationError
-from .frame import CurvatureOperator, Form2, as_vec, curv_compose, curv_norm_sq
+from .frame import (
+    _PAIRS,
+    EPS,
+    CurvatureOperator,
+    as_vec,
+    curv_compose,
+    curv_norm_sq,
+    star_matrix,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -45,6 +61,21 @@ class SolitonScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", as_vec(self.phi))
+
+    @cached_property
+    def connection(self) -> torsion.TorsionConnection:
+        """D = nabla^g + bbA; ``.base`` holds the Levi-Civita coefficients."""
+        return torsion.connection_with_torsion(self.model, self.contorsion)
+
+    @cached_property
+    def curvature_g(self) -> geometry.CurvatureData:
+        """Riemann operator, Ricci tensor and scalar curvature of the metric."""
+        return geometry.curvature(self.model, self.connection.base)
+
+    @cached_property
+    def curvature_D(self) -> CurvatureOperator:
+        """R^D, the curvature of the torsion connection."""
+        return torsion.curvature_D(self.model, self.connection)
 
     @classmethod
     def from_params(
@@ -88,14 +119,9 @@ def validate_scenario(sc: SolitonScenario, tol: float = 1e-10) -> None:
         raise ScenarioValidationError("phi is not closed: phi([e_i,e_j]) != 0")
 
 
-def connection(sc: SolitonScenario) -> torsion.TorsionConnection:
-    return torsion.connection_with_torsion(sc.model, sc.contorsion)
-
-
 def grad_phi(sc: SolitonScenario) -> np.ndarray:
     """(nabla^g phi)[i, j] = -phi(nabla_{e_i} e_j) for frame-constant phi."""
-    gamma = geometry.levi_civita(sc.model)
-    return -np.einsum("ijm,m->ij", gamma, sc.phi)
+    return -np.einsum("ijm,m->ij", sc.connection.base, sc.phi)
 
 
 def delta_phi(sc: SolitonScenario) -> float:
@@ -115,10 +141,9 @@ def ric_gH(model: geometry.StructureConstants, h: float) -> np.ndarray:
 
 def einstein_residual(sc: SolitonScenario) -> np.ndarray:
     """Full (possibly non-symmetric) grid of the first soliton equation."""
-    data = geometry.curvature(sc.model, geometry.levi_civita(sc.model))
-    r_d = torsion.curvature_D(sc.model, connection(sc))
+    r_d = sc.curvature_D
     return (
-        data.ricci
+        sc.curvature_g.ricci
         + grad_phi(sc)
         - 0.5 * sc.h * sc.h * np.eye(3)
         + sc.kappa * curv_compose(r_d, r_d)
@@ -128,23 +153,13 @@ def einstein_residual(sc: SolitonScenario) -> np.ndarray:
 def yang_mills_residual(sc: SolitonScenario) -> np.ndarray:
     """General divergence path: rows are the dual components of the 2-form
     (d*_D R^D + phi . R^D)(e_x)."""
-    conn = connection(sc)
-    r_d = torsion.curvature_D(sc.model, conn)
+    r_d = sc.curvature_D
     rform = geometry.endo_from_operator(r_d)
-    dr = torsion.covariant_derivative(conn.total, rform)
-    out = np.zeros((3, 3))
-    eye = np.eye(3)
-    for x in range(3):
-        # divergence: -(sum_i (D_{e_i} R)[e_i, e_x, ., .])
-        div = -np.einsum("iikl->kl", dr[:, :, x, :, :])
-        # phi contraction in the first factor: R_{phi, e_x}
-        out[x, :] = _grid_to_form(div).dual + r_d.first_factor(sc.phi, eye[x]).dual
-    return out
-
-
-def _grid_to_form(grid: np.ndarray) -> Form2:
-    """Dual components of a skew 3x3 grid grid[k, l] = omega(e_k, e_l)."""
-    return Form2(np.array([grid[1, 2], grid[2, 0], grid[0, 1]]))
+    dr = torsion.covariant_derivative(sc.connection.total, rform)
+    # divergence -(sum_i (D_{e_i} R)[e_i, e_x, p, q]) read at the cyclic pairs
+    # (p, q), plus the phi contraction R_{phi, e_x}: row x of (*phi) R^D
+    p, q = zip(*_PAIRS)
+    return -np.einsum("iixpq->xpq", dr)[:, p, q] + star_matrix(sc.phi) @ r_d.entries
 
 
 def yang_mills_skew_path(sc: SolitonScenario) -> np.ndarray:
@@ -158,30 +173,24 @@ def yang_mills_skew_path(sc: SolitonScenario) -> np.ndarray:
     if not ct.is_pure_skew_torsion(tol=1e-10):
         raise NotSkewTorsion("contorsion is not of the form alpha * g")
     alpha = ct.trace_part
-    gamma = geometry.levi_civita(sc.model)
-    data = geometry.curvature(sc.model, gamma)
+    data = sc.curvature_g
     ric0 = data.ricci - (data.scalar / 3.0) * np.eye(3)
-    dric = torsion.covariant_derivative(gamma, data.ricci)
-    eye = np.eye(3)
-    out = np.zeros((3, 3))
-    for x in range(3):
-        dual = np.zeros(3)
-        for j in range(3):
-            dual += np.cross(eye[j], dric[j, x, :])
-        dual += 3.0 * alpha * (ric0 @ eye[x])
-        dual += data.riemann.first_factor(sc.phi, eye[x]).dual
-        dual += alpha * alpha * np.cross(sc.phi, eye[x])
-        out[x, :] = dual
-    return out
+    dric = torsion.covariant_derivative(sc.connection.base, data.ricci)
+    # row x: sum_j e_j x (nabla_{e_j} Ric)(e_x) + 3 alpha Ric_0(e_x)
+    #        + R^g_{phi, e_x} + alpha^2 phi ^ e_x; row x of *phi is phi x e_x
+    return (
+        np.einsum("ajm,jxm->xa", EPS, dric)
+        + 3.0 * alpha * ric0.T
+        + star_matrix(sc.phi) @ (data.riemann.entries + alpha * alpha * np.eye(3))
+    )
 
 
 def dilaton_residual(sc: SolitonScenario) -> float:
-    r_d = torsion.curvature_D(sc.model, connection(sc))
     return (
         delta_phi(sc)
         + float(sc.phi @ sc.phi)
         - sc.h * sc.h
-        + sc.kappa * curv_norm_sq(r_d)
+        + sc.kappa * curv_norm_sq(sc.curvature_D)
     )
 
 
@@ -192,9 +201,8 @@ def maxwell_residual(sc: SolitonScenario) -> np.ndarray:
 
 def trace_identity_residual(sc: SolitonScenario) -> float:
     """Residual of s = 3 delta phi + 2 |phi|^2 - h^2/2 (kappa-independent)."""
-    data = geometry.curvature(sc.model, geometry.levi_civita(sc.model))
     return (
-        data.scalar
+        sc.curvature_g.scalar
         - 3.0 * delta_phi(sc)
         - 2.0 * float(sc.phi @ sc.phi)
         + 0.5 * sc.h * sc.h
@@ -211,7 +219,7 @@ def remark_identity_residual(sc: SolitonScenario) -> float:
     if not ct.is_pure_skew_torsion(tol=1e-10):
         raise NotSkewTorsion("contorsion is not of the form alpha * g")
     alpha = ct.trace_part
-    data = geometry.curvature(sc.model, geometry.levi_civita(sc.model))
+    data = sc.curvature_g
     ric0 = data.ricci - (data.scalar / 3.0) * np.eye(3)
     s = data.scalar
     return (

@@ -167,7 +167,7 @@ def _scenario_corpus():
 
 
 def test_ac6_curvature_property_suite(report):
-    """Pair symmetry, norm identity, PSD, wedge trace, parallel torsion."""
+    """Pair symmetry, norm identity, PSD, parallel torsion."""
     rng = np.random.default_rng(11)
     ok = True
     models = [b.scenario.model for b in _scenario_corpus()]
@@ -183,9 +183,8 @@ def test_ac6_curvature_property_suite(report):
         ) <= 1e-10 * max(1.0, ric_sq)
         q = frame.curv_compose(data.riemann, data.riemann)
         ok &= float(np.min(np.linalg.eigvalsh(q))) >= -1e-10
-        ok &= frame.curv_wedge_trace(data.riemann) == 0.0
     for built in _scenario_corpus():
-        conn = residuals.connection(built.scenario)
+        conn = built.scenario.connection
         da = torsion.covariant_derivative(conn.total, built.scenario.contorsion.a)
         ok &= float(np.max(np.abs(da))) <= 1e-12
     report("AC6 curvature-properties", ok)
@@ -211,7 +210,7 @@ def test_ac7_no_go_checks(report):
         for h in (0.5, 2.0)
     ]
     for sc in flat_cases:
-        r = torsion.curvature_D(sc.model, residuals.connection(sc))
+        r = torsion.curvature_D(sc.model, sc.connection)
         ok &= float(np.max(np.abs(r.entries))) <= 1e-12
         ok &= residuals.full_report(sc).verdict == "NOT_SOLUTION"
 

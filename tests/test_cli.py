@@ -153,6 +153,21 @@ class TestConstruct:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("kappa", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize(
+        "family, kappa_scalar",
+        [("heisenberg-generic", -2.0), ("heisenberg-skew", None),
+         ("hyperbolic", -6.0), ("boundary", None)],
+    )
+    def test_small_kappa_roundtrip(self, tmp_path, family, kappa_scalar, kappa):
+        # scenario files keep full precision, so an exact solution stays exact
+        out = str(tmp_path / "sc.json")
+        argv = ["construct", family, f"--kappa={kappa!r}", "-o", out]
+        if kappa_scalar is not None:
+            argv.append(f"--scalar={kappa_scalar / kappa!r}")
+        assert cli.main(argv) == 0
+        assert cli.main(["check", out]) == 0
+
     def test_missing_scalar(self):
         assert cli.main(["construct", "hyperbolic", "--kappa", "1"]) == 2
 

@@ -236,7 +236,7 @@ class TestCorpusProperties:
 
     def test_parallel_torsion_certificate(self):
         for built in all_families():
-            conn = residuals.connection(built.scenario)
+            conn = built.scenario.connection
             da = torsion.covariant_derivative(conn.total, built.scenario.contorsion.a)
             np.testing.assert_allclose(da, 0.0, atol=1e-12, err_msg=built.family)
 
@@ -244,7 +244,7 @@ class TestCorpusProperties:
         # nabla^{g,A} R^{g,A} = 0 on every constructed scenario
         for built in all_families():
             sc = built.scenario
-            conn = residuals.connection(sc)
+            conn = sc.connection
             r = torsion.curvature_D(sc.model, conn)
             rform = geometry.endo_from_operator(r)
             dr = torsion.covariant_derivative(conn.total, rform)

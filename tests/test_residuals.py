@@ -1,12 +1,13 @@
 """Soliton system residuals: each equation, derived identities, full report."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import random_model
-from het3 import geometry, residuals, torsion
+from het3 import constructors, geometry, residuals, torsion
 from het3.errors import (
     NonPositiveKappa,
     NotSkewTorsion,
@@ -149,6 +150,54 @@ class TestYangMills:
             residuals.yang_mills_skew_path(sc),
             atol=1e-13,
         )
+
+    def test_matches_row_loops(self, rng):
+        # reference: one row x at a time, 2-forms through np.cross
+        eye = np.eye(3)
+
+        def general_rows(sc):
+            r_d = sc.curvature_D
+            dr = torsion.covariant_derivative(
+                sc.connection.total, geometry.endo_from_operator(r_d)
+            )
+            out = np.zeros((3, 3))
+            for x in range(3):
+                div = -np.einsum("iikl->kl", dr[:, :, x])
+                out[x] = [div[1, 2], div[2, 0], div[0, 1]]
+                out[x] += r_d.first_factor(sc.phi, eye[x]).dual
+            return out
+
+        def skew_rows(sc, alpha):
+            data = sc.curvature_g
+            ric0 = data.ricci - (data.scalar / 3.0) * np.eye(3)
+            dric = torsion.covariant_derivative(sc.connection.base, data.ricci)
+            out = np.zeros((3, 3))
+            for x in range(3):
+                for j in range(3):
+                    out[x] += np.cross(eye[j], dric[j, x])
+                out[x] += 3.0 * alpha * (ric0 @ eye[x])
+                out[x] += data.riemann.first_factor(sc.phi, eye[x]).dual
+                out[x] += alpha * alpha * np.cross(sc.phi, eye[x])
+            return out
+
+        for _ in range(50):
+            alpha = rng.normal()
+            a = rng.normal(size=(3, 3))
+            sk = residuals.SolitonScenario(
+                model=random_model(rng), contorsion=torsion.skew(alpha),
+                h=1.0, kappa=1.0, phi=rng.normal(size=3),
+            )
+            gen = residuals.SolitonScenario(
+                model=random_model(rng), contorsion=torsion.Contorsion(a + a.T),
+                h=1.0, kappa=1.0, phi=rng.normal(size=3),
+            )
+            for got, want in [
+                (residuals.yang_mills_skew_path(sk), skew_rows(sk, alpha)),
+                (residuals.yang_mills_residual(sk), general_rows(sk)),
+                (residuals.yang_mills_residual(gen), general_rows(gen)),
+            ]:
+                scale = max(1.0, float(np.abs(want).max()))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
     def test_skew_path_requires_skew(self):
         sc = residuals.SolitonScenario(
@@ -293,7 +342,7 @@ class TestFullReport:
             )
         )
         for sc in cases:
-            r_d = torsion.curvature_D(sc.model, residuals.connection(sc))
+            r_d = torsion.curvature_D(sc.model, sc.connection)
             assert np.max(np.abs(r_d.entries)) < 1e-13
             report = residuals.full_report(sc)
             assert report.verdict == "NOT_SOLUTION"
@@ -305,6 +354,25 @@ class TestFullReport:
         r2 = residuals.full_report(sc)
         assert r1.norms == r2.norms
         assert r1.verdict == r2.verdict
+
+    def test_geometry_derived_once(self, monkeypatch):
+        # full_report and classify share the scenario's cached connection,
+        # R^g and R^D: one Levi-Civita, two curvatures, one contorsion
+        calls = Counter()
+        for module, name in [
+            (geometry, "levi_civita"),
+            (geometry, "curvature"),
+            (torsion, "contorsion_coefficients"),
+        ]:
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        sc = skew_heisenberg_scenario()
+        residuals.full_report(sc)
+        constructors.classify(sc)
+        assert calls == {"levi_civita": 1, "curvature": 2, "contorsion_coefficients": 1}
 
     def test_non_skew_scenario_has_no_remark(self):
         sc = residuals.SolitonScenario(
