@@ -12,9 +12,10 @@ Scenario files are JSON documents with 1-based frame indices:
     }
 
 The contorsion may alternatively be {"matrix": [[...], [...], [...]]}
-(row-major 3x3).  Exit codes: 0 = SOLUTION, 1 = NOT_SOLUTION, 2 = input or
-parameter error.  The default residual tolerance is 1e-9 and can be
-overridden with --tol or the HET3_TOL environment variable.
+(row-major 3x3).  Every number must be finite.  Exit codes: 0 = SOLUTION,
+1 = NOT_SOLUTION, 2 = input or parameter error.  The default residual
+tolerance is 1e-9 and can be overridden with --tol or the HET3_TOL
+environment variable; it must be positive and finite.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -30,13 +33,17 @@ import numpy as np
 from . import __version__, constructors, geometry, residuals, torsion
 from .errors import Het3Error
 
+# Python 3.13's pattern: older argparse reads "-3e-05" as an option, not a value
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
 EXIT_SOLUTION = 0
 EXIT_NOT_SOLUTION = 1
 EXIT_ERROR = 2
 
 
 class ScenarioFileError(Exception):
-    """Raised on malformed or rejected scenario files (exit code 2)."""
+    """Raised on malformed or rejected input: scenario files and the
+    tolerance (exit code 2)."""
 
 
 def fmt(x: float) -> float:
@@ -77,6 +84,31 @@ def default_tolerance() -> float:
     return residuals.DEFAULT_TOL
 
 
+def tolerance(flag: float | None) -> float:
+    """--tol if given, else HET3_TOL, else the default; positive and finite."""
+    tol = flag if flag is not None else default_tolerance()
+    if not 0.0 < tol < math.inf:
+        raise ScenarioFileError(f"tolerance must be positive and finite, got {tol!r}")
+    return tol
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFileError(f"{where} must be a number, got {value!r}") from exc
+
+
+def _array(value, where: str, shape: tuple) -> np.ndarray:
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioFileError(f"{where} must be numbers, got {value!r}") from exc
+    if a.shape != shape:
+        raise ScenarioFileError(f"{where} must have shape {shape}, got {a.shape}")
+    return a
+
+
 def parse_scenario(doc: dict) -> residuals.SolitonScenario:
     """Parse a scenario JSON document, with field-level diagnostics."""
     if not isinstance(doc, dict):
@@ -84,6 +116,8 @@ def parse_scenario(doc: dict) -> residuals.SolitonScenario:
     for key in ("structure_constants", "contorsion", "h", "kappa"):
         if key not in doc:
             raise ScenarioFileError(f"missing required field: {key!r}")
+    if not isinstance(doc["structure_constants"], list):
+        raise ScenarioFileError("structure_constants must be a list of [i, j, k, value]")
     entries = []
     for n, row in enumerate(doc["structure_constants"]):
         if not isinstance(row, (list, tuple)) or len(row) != 4:
@@ -97,42 +131,37 @@ def parse_scenario(doc: dict) -> residuals.SolitonScenario:
             )
         if not i < j:
             raise ScenarioFileError(f"structure_constants[{n}]: requires i < j")
-        entries.append((i - 1, j - 1, k - 1, float(v)))
+        entries.append((i - 1, j - 1, k - 1, _number(v, f"structure_constants[{n}] value")))
     model = geometry.StructureConstants.from_entries(entries)
 
     ct_doc = doc["contorsion"]
     if not isinstance(ct_doc, dict):
         raise ScenarioFileError("contorsion must be an object")
     if "matrix" in ct_doc:
-        m = np.asarray(ct_doc["matrix"], dtype=float)
-        if m.shape != (3, 3):
-            raise ScenarioFileError("contorsion.matrix must be a 3x3 grid")
-        contorsion = torsion.Contorsion(m)
+        contorsion = torsion.Contorsion(_array(ct_doc["matrix"], "contorsion.matrix", (3, 3)))
     else:
         for key in ("alpha", "beta", "gamma", "xi"):
             if key not in ct_doc:
                 raise ScenarioFileError(f"contorsion: missing field {key!r}")
-        if float(ct_doc["beta"]) != 0.0:
+        if _number(ct_doc["beta"], "contorsion.beta") != 0.0:
             raise ScenarioFileError(
                 "contorsion.beta must be 0: on a compact model the trace "
                 "projection delta xi = 2 beta forces beta = 0"
             )
         try:
             params = torsion.ReducibleTorsionParams(
-                alpha=float(ct_doc["alpha"]),
+                alpha=_number(ct_doc["alpha"], "contorsion.alpha"),
                 beta=0.0,
-                gamma=float(ct_doc["gamma"]),
-                xi=np.asarray(ct_doc["xi"], dtype=float),
+                gamma=_number(ct_doc["gamma"], "contorsion.gamma"),
+                xi=_array(ct_doc["xi"], "contorsion.xi", (3,)),
             )
         except Het3Error as exc:
             raise ScenarioFileError(f"contorsion: {exc}") from exc
         contorsion = torsion.build_reducible(params)
 
-    h = float(doc["h"])
-    kappa = float(doc["kappa"])
-    phi = np.asarray(doc.get("phi", [0.0, 0.0, 0.0]), dtype=float)
-    if phi.shape != (3,):
-        raise ScenarioFileError("phi must have 3 components")
+    h = _number(doc["h"], "h")
+    kappa = _number(doc["kappa"], "kappa")
+    phi = _array(doc.get("phi", [0.0, 0.0, 0.0]), "phi", (3,))
     sc = residuals.SolitonScenario(
         model=model, contorsion=contorsion, h=h, kappa=kappa, phi=phi
     )
@@ -213,7 +242,7 @@ def report_doc(sc, report, classification) -> dict:
 
 
 def cmd_check(args) -> int:
-    tol = args.tol if args.tol is not None else default_tolerance()
+    tol = tolerance(args.tol)
     sc = load_scenario(args.path)
     report = residuals.full_report(sc, tol=tol)
     classification = constructors.classify(sc)
@@ -228,23 +257,33 @@ def cmd_check(args) -> int:
     return EXIT_SOLUTION if report.is_solution else EXIT_NOT_SOLUTION
 
 
+# family -> (constructor of the parsed arguments, whether it needs --scalar)
+FAMILY_TABLE = {
+    constructors.HEISENBERG_GENERIC: (
+        lambda args: constructors.construct_generic_reducible(
+            args.kappa, args.scalar, sign=args.sign
+        ),
+        True,
+    ),
+    constructors.HEISENBERG_SKEW: (
+        lambda args: constructors.construct_skew_heisenberg(args.kappa), False
+    ),
+    constructors.HYPERBOLIC: (
+        lambda args: constructors.construct_hyperbolic_skew(args.kappa, args.scalar), True
+    ),
+    constructors.BOUNDARY: (
+        lambda args: constructors.boundary_vanishing_torsion(args.kappa), False
+    ),
+}
+
+
 def cmd_construct(args) -> int:
     kappa = args.kappa
+    build, needs_scalar = FAMILY_TABLE[args.family]
+    if needs_scalar and args.scalar is None:
+        raise ScenarioFileError("--scalar is required for this family")
     try:
-        if args.family == constructors.HEISENBERG_GENERIC:
-            if args.scalar is None:
-                raise ScenarioFileError("--scalar is required for this family")
-            built = constructors.construct_generic_reducible(
-                kappa, args.scalar, sign=args.sign
-            )
-        elif args.family == constructors.HEISENBERG_SKEW:
-            built = constructors.construct_skew_heisenberg(kappa)
-        elif args.family == constructors.HYPERBOLIC:
-            if args.scalar is None:
-                raise ScenarioFileError("--scalar is required for this family")
-            built = constructors.construct_hyperbolic_skew(kappa, args.scalar)
-        else:
-            built = constructors.boundary_vanishing_torsion(kappa)
+        built = build(args)
     except Het3Error as exc:
         low, high = constructors.scalar_window(kappa) if kappa > 0 else (0, 0)
         print(f"error: {exc}", file=sys.stderr)
@@ -271,7 +310,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    tol = args.tol if args.tol is not None else default_tolerance()
+    tol = tolerance(args.tol)
     if args.points < 2:
         print("error: --points must be at least 2", file=sys.stderr)
         return EXIT_ERROR
@@ -354,6 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("classify", help="Ricci eigenvalue classification of a scenario")
     k.add_argument("path")
     k.set_defaults(func=cmd_classify)
+
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return p
 
 

@@ -211,21 +211,49 @@ class SweepRow:
     verdict: str  # SOLUTION | NOT_SOLUTION | OUT_OF_WINDOW
 
 
+# Samples per full_report in a sweep.  A block's scenarios and arrays take
+# about 10 kB per sample, so this bounds a sweep's working memory (about
+# 10 MB) at any number of points; only the returned rows grow with it.
+SWEEP_BLOCK = 1024
+
+
+def _sweep_rows(kappa: float, scalars, tol: float) -> list[SweepRow]:
+    """Rows for samples of s_g at one kappa.
+
+    Per block of SWEEP_BLOCK samples, each in-window sample is built on its
+    own, then they are stacked into one batch scenario for one full_report.
+    """
+    rows: list = []
+    for start in range(0, len(scalars), SWEEP_BLOCK):
+        block = []  # (row index, constructed soliton) per in-window sample
+        for scalar in scalars[start : start + SWEEP_BLOCK]:
+            try:
+                built = construct_hyperbolic_skew(kappa, scalar)
+            except OutOfWindow:
+                rows.append(SweepRow(scalar, kappa * scalar, None, None, None, "OUT_OF_WINDOW"))
+                continue
+            block.append((len(rows), built))
+            rows.append(None)
+        if not block:
+            continue
+        batch = residuals.SolitonScenario.stack([built.scenario for _, built in block])
+        report = residuals.full_report(batch, tol=tol)
+        worst = report.worst
+        for n, (index, built) in enumerate(block):
+            rows[index] = SweepRow(
+                scalar=built.scalar,
+                kappa_scalar=kappa * built.scalar,
+                alpha=built.alpha,
+                h=built.h,
+                residual_norm=float(worst[n]),
+                verdict=str(report.verdict[n]),
+            )
+    return rows
+
+
 def sweep_row(kappa: float, scalar: float, tol: float = residuals.DEFAULT_TOL) -> SweepRow:
     """Evaluate a single hyperbolic-skew sample, marking out-of-window values."""
-    try:
-        built = construct_hyperbolic_skew(kappa, scalar)
-    except OutOfWindow:
-        return SweepRow(scalar, kappa * scalar, None, None, None, "OUT_OF_WINDOW")
-    report = residuals.full_report(built.scenario, tol=tol)
-    return SweepRow(
-        scalar=scalar,
-        kappa_scalar=kappa * scalar,
-        alpha=built.alpha,
-        h=built.h,
-        residual_norm=max(report.norms.values()),
-        verdict=report.verdict,
-    )
+    return _sweep_rows(kappa, [scalar], tol)[0]
 
 
 def sweep_window(
@@ -247,4 +275,4 @@ def sweep_window(
         lo = low if s_min is None else s_min
         hi = high if s_max is None else s_max
         samples = list(np.linspace(lo, hi, n_points))
-    return [sweep_row(kappa, s, tol=tol) for s in samples]
+    return _sweep_rows(kappa, samples, tol)

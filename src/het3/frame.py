@@ -13,6 +13,10 @@ the 2-form inner product.
 Sign convention for the interior product: (v . w)(u) = w(v, u), which in dual
 components reads interior(v, w) = cross(w.dual, v).  This is the adjoint of
 the wedge product: <u ^ v, w> = <v, u . w>.
+
+Vectors, grids and curvature operators may carry leading batch axes: a
+vector has shape (..., 3) and a grid (..., 3, 3).  A single object is batch
+shape ().
 """
 
 from __future__ import annotations
@@ -21,27 +25,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cyclic index pairs: *e_a = e_i ^ e_j for (i, j) = _PAIRS[a].
+# Cyclic index pairs: *e_a = e_i ^ e_j for (i, j) = _PAIRS[a]; the same as
+# index arrays, so that x[..., _P, _Q] picks the pairs of the last two axes.
 _PAIRS = ((1, 2), (2, 0), (0, 1))
+_P, _Q = np.array(_PAIRS).T
 
 # Levi-Civita symbol eps_{ijk} = <e_i x e_j, e_k>.
 EPS = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
 def as_vec(v) -> np.ndarray:
-    """Coerce to a float vector of shape (3,)."""
+    """Coerce to float vectors of shape (..., 3)."""
     a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
+    if a.shape[-1:] != (3,):
         raise ValueError(f"expected 3 components, got shape {a.shape}")
     return a
 
 
 def as_grid(m) -> np.ndarray:
-    """Coerce to a float grid of shape (3, 3)."""
+    """Coerce to float grids of shape (..., 3, 3)."""
     a = np.asarray(m, dtype=float)
-    if a.shape != (3, 3):
+    if a.shape[-2:] != (3, 3):
         raise ValueError(f"expected a 3x3 grid, got shape {a.shape}")
     return a
+
+
+def dot(u, v) -> np.ndarray:
+    """Dot product over the last axis, batched over the leading ones.
+
+    Built on matmul, so each sample is bit-identical to ``u @ v`` on
+    vectors (a plain ``(u * v).sum(-1)`` can differ in the last bit).
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 @dataclass(frozen=True)
@@ -103,23 +118,25 @@ def curv_compose(r1: CurvatureOperator, r2: CurvatureOperator) -> np.ndarray:
     With r1 = r2 this is the curvature quadratic sourcing the Einstein
     equation; it is then symmetric positive semidefinite.
     """
-    k1, k2 = r1.entries, r2.entries
-    out = np.zeros((3, 3))
+    k1, k2t = r1.entries, np.swapaxes(r2.entries, -1, -2)
+    out = np.zeros(np.broadcast_shapes(k1.shape, k2t.shape))
     eye = np.eye(3)
     for p in range(3):
         for q in range(3):
             acc = 0.0
             for i in range(3):
-                a = np.cross(eye[p], eye[i]) @ k1
-                b = np.cross(eye[q], eye[i]) @ k2
+                # a as a row and b as a column, so that a @ b is the matmul
+                # dot product of frame.dot
+                a = np.cross(eye[p], eye[i])[None, :] @ k1
+                b = k2t @ np.cross(eye[q], eye[i])[:, None]
                 acc += a @ b
-            out[p, q] = acc
+            out[..., p, q] = acc[..., 0, 0]
     return out
 
 
-def curv_norm_sq(r: CurvatureOperator) -> float:
+def curv_norm_sq(r: CurvatureOperator) -> np.ndarray:
     """|R|^2 = (1/2) tr(R o_g R); equals the Frobenius norm^2 of the grid."""
-    return float(np.sum(r.entries * r.entries))
+    return (r.entries * r.entries).sum(axis=(-2, -1))
 
 
 def frame_vector(i: int) -> np.ndarray:
@@ -131,4 +148,4 @@ def frame_vector(i: int) -> np.ndarray:
 
 def star_matrix(zeta) -> np.ndarray:
     """The 2-form *zeta as a skew 3x3 grid: (*zeta)_{ij} = eps_{ijk} zeta_k."""
-    return EPS @ as_vec(zeta)
+    return np.einsum("ijk,...k->...ij", EPS, as_vec(zeta))

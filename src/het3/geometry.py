@@ -9,6 +9,10 @@ the identification of the curvature with a section of Lambda^2 x Lambda^2
 pairs the cyclic 2-form basis with the endomorphism components
 <R_{e_i, e_j} e_k, e_l>.  Under this convention the hyperbolic model of
 sectional curvature -1 has operator grid +Id (R_{X,Y} = X ^ Y).
+
+Every kernel accepts leading batch axes: structure constants (..., 3, 3, 3),
+connection coefficients (..., 3, 3, 3), endomorphism components
+(..., 3, 3, 3, 3); a single model is batch shape ().
 """
 
 from __future__ import annotations
@@ -18,20 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AntisymmetryViolation, JacobiViolation, TraceMismatch
-from .frame import _PAIRS, CurvatureOperator
+from .frame import _P, _PAIRS, _Q, CurvatureOperator
 
 STRUCT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Dense bracket coefficients c[i, j, k], antisymmetric in (i, j)."""
+    """Dense bracket coefficients c[..., i, j, k], antisymmetric in (i, j)."""
 
     c: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.c, dtype=float)
-        if a.shape != (3, 3, 3):
+        if a.shape[-3:] != (3, 3, 3):
             raise ValueError("structure constants must be a 3x3x3 grid")
         object.__setattr__(self, "c", a)
 
@@ -45,11 +49,13 @@ class StructureConstants:
         return cls(c)
 
     def bracket(self, x, y) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float), self.c)
+        return np.einsum(
+            "...i,...j,...ijk->...k", np.asarray(x, float), np.asarray(y, float), self.c
+        )
 
     def ad_trace(self) -> np.ndarray:
         """Trace of ad: the unimodularity obstruction, tr(ad_{e_i}) per i."""
-        return np.einsum("ijj->i", self.c)
+        return np.einsum("...ijj->...i", self.c)
 
 
 def abelian() -> StructureConstants:
@@ -73,21 +79,22 @@ def milnor(l1: float, l2: float, l3: float) -> StructureConstants:
     )
 
 
-def jacobi_defect(sc: StructureConstants) -> float:
-    """Max-norm of the cyclic Jacobi sum over all index triples."""
+def jacobi_defect(sc: StructureConstants) -> np.ndarray:
+    """Max-norm of the cyclic Jacobi sum over all index triples, per model."""
     c = sc.c
     # [[e_i,e_j],e_k] contributes c_{ijm} c_{mkl}
-    t = np.einsum("ijm,mkl->ijkl", c, c)
-    cyc = t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
-    return float(np.max(np.abs(cyc)))
+    t = np.einsum("...ijm,...mkl->...ijkl", c, c)
+    cyc = t + np.einsum("...jkil->...ijkl", t) + np.einsum("...kijl->...ijkl", t)
+    return np.abs(cyc).max(axis=(-4, -3, -2, -1))
 
 
 def validate(sc: StructureConstants, tol: float = STRUCT_TOL) -> None:
-    """Raise unless c is antisymmetric in (i, j) and satisfies Jacobi."""
-    anti = np.max(np.abs(sc.c + np.transpose(sc.c, (1, 0, 2))))
+    """Raise unless every model's c is antisymmetric in (i, j) and satisfies
+    Jacobi; the message gives the worst deviation."""
+    anti = np.abs(sc.c + sc.c.swapaxes(-3, -2)).max()
     if anti > tol:
         raise AntisymmetryViolation(f"c_ijk + c_jik deviates by {anti:g}")
-    defect = jacobi_defect(sc)
+    defect = jacobi_defect(sc).max()
     if defect > tol:
         raise JacobiViolation(f"Jacobi identity violated by {defect:g}")
 
@@ -95,38 +102,36 @@ def validate(sc: StructureConstants, tol: float = STRUCT_TOL) -> None:
 def levi_civita(sc: StructureConstants) -> np.ndarray:
     """Koszul formula in an orthonormal frame: 2 gamma_ijk = c_ijk - c_jki + c_kij."""
     c = sc.c
-    return 0.5 * (c - np.einsum("jki->ijk", c) + np.einsum("kij->ijk", c))
+    return 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
 
 
 def curvature_endo(sc: StructureConstants, gamma: np.ndarray) -> np.ndarray:
     """Endomorphism components R[i,j,k,l] = <R_{e_i,e_j} e_k, e_l>."""
     r = (
-        np.einsum("jkm,iml->ijkl", gamma, gamma)
-        - np.einsum("ikm,jml->ijkl", gamma, gamma)
-        - np.einsum("ijm,mkl->ijkl", sc.c, gamma)
+        np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+        - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
+        - np.einsum("...ijm,...mkl->...ijkl", sc.c, gamma)
     )
     return r
 
 
 def operator_from_endo(rendo: np.ndarray) -> CurvatureOperator:
     """Collapse endomorphism components onto the dual 2-form basis."""
-    k = np.zeros((3, 3))
+    k = np.zeros(rendo.shape[:-2])
     for a, (i, j) in enumerate(_PAIRS):
-        for b, (p, q) in enumerate(_PAIRS):
-            k[a, b] = rendo[i, j, p, q]
+        k[..., a, :] = rendo[..., i, j, _P, _Q]
     return CurvatureOperator(k)
 
 
 def endo_from_operator(r: CurvatureOperator) -> np.ndarray:
     """Expand the dual grid back to full endomorphism components."""
-    out = np.zeros((3, 3, 3, 3))
+    out = np.zeros(r.entries.shape[:-2] + (3, 3, 3, 3))
     eye = np.eye(3)
     for i in range(3):
         for j in range(3):
             dual = np.cross(eye[i], eye[j]) @ r.entries
-            for b, (p, q) in enumerate(_PAIRS):
-                out[i, j, p, q] = dual[b]
-                out[i, j, q, p] = -dual[b]
+            out[..., i, j, _P, _Q] = dual
+            out[..., i, j, _Q, _P] = -dual
     return out
 
 
@@ -136,18 +141,18 @@ class CurvatureData:
 
     riemann: CurvatureOperator
     ricci: np.ndarray
-    scalar: float
+    scalar: np.ndarray  # batch shape; a numpy float for a single model
 
 
 def curvature(sc: StructureConstants, gamma: np.ndarray) -> CurvatureData:
     """Curvature of a metric-compatible frame-constant connection."""
     rendo = curvature_endo(sc, gamma)
     # Ric(Y, Z) = sum_i <R_{e_i, Y} Z, e_i>
-    ric = np.einsum("ijki->jk", rendo)
+    ric = np.einsum("...ijki->...jk", rendo)
     return CurvatureData(
         riemann=operator_from_endo(rendo),
         ricci=ric,
-        scalar=float(np.trace(ric)),
+        scalar=ric.trace(axis1=-2, axis2=-1),
     )
 
 

@@ -13,6 +13,9 @@ The reducible normal form is A = alpha g + beta *xi + gamma xi (x) xi for a
 unit axis xi; beta is forced to vanish on compact models (delta xi = 2 beta)
 and is therefore rejected by scenario validation, though the algebra here
 accepts it.
+
+Contorsions and connection coefficients accept leading batch axes
+(A has shape (..., 3, 3)); a single contorsion is batch shape ().
 """
 
 from __future__ import annotations
@@ -38,27 +41,26 @@ class Contorsion:
         object.__setattr__(self, "a", as_grid(self.a))
 
     @property
-    def trace_part(self) -> float:
+    def trace_part(self) -> np.ndarray:
         """alpha' = Tr(A)/3."""
-        return float(np.trace(self.a)) / 3.0
+        return self.a.trace(axis1=-2, axis2=-1) / 3.0
 
     @property
     def traceless_sym(self) -> np.ndarray:
         """Theta: traceless symmetric component."""
-        sym = 0.5 * (self.a + self.a.T)
-        return sym - self.trace_part * np.eye(3)
+        sym = 0.5 * (self.a + self.a.swapaxes(-1, -2))
+        return sym - self.trace_part[..., None, None] * np.eye(3)
 
     @property
     def skew_vector(self) -> np.ndarray:
         """zeta with skew(A) = *zeta."""
-        k = 0.5 * (self.a - self.a.T)
-        return np.array([k[1, 2], k[2, 0], k[0, 1]])
+        k = 0.5 * (self.a - self.a.swapaxes(-1, -2))
+        return k[..., [1, 2, 0], [2, 0, 1]]
 
-    def is_pure_skew_torsion(self, tol: float = 1e-12) -> bool:
-        """True when A = alpha g, i.e. the torsion is a 3-form."""
-        return (
-            float(np.max(np.abs(self.traceless_sym))) <= tol
-            and float(np.max(np.abs(self.skew_vector))) <= tol
+    def is_pure_skew_torsion(self, tol: float = 1e-12) -> np.ndarray:
+        """True when A = alpha g, i.e. the torsion is a 3-form; per sample."""
+        return (np.abs(self.traceless_sym).max(axis=(-2, -1)) <= tol) & (
+            np.abs(self.skew_vector).max(axis=-1) <= tol
         )
 
 
@@ -121,12 +123,12 @@ def contorsion_coefficients(ct: Contorsion) -> np.ndarray:
     [e1,e2] = 2 alpha e3 has D-parallel axis e3 for A = alpha g, tying the
     structure constant to the torsion parameter with a positive alpha.
     """
-    out = np.zeros((3, 3, 3))
+    out = np.zeros(ct.a.shape[:-2] + (3, 3, 3))
     eye = np.eye(3)
     for i in range(3):
-        av = ct.a[i, :]
+        av = ct.a[..., i, :]
         for j in range(3):
-            out[i, j, :] = np.cross(eye[j], av)
+            out[..., i, j, :] = np.cross(eye[j], av)
     return out
 
 
@@ -142,24 +144,30 @@ def covariant_derivative(gamma: np.ndarray, tensor) -> np.ndarray:
     """Covariant derivative of a frame-constant covariant tensor.
 
     Returns DT with DT[i, j1, ..., jr] = (D_{e_i} T)(e_{j1}, ..., e_{jr});
-    only connection terms survive since the components are constant.
+    only connection terms survive since the components are constant.  A
+    batch of connections (..., 3, 3, 3) takes tensors with the same leading
+    axes, (..., 3, ..., 3).
     """
     t = np.asarray(tensor, dtype=float)
-    rank = t.ndim
-    out = np.zeros((3,) + t.shape)
+    lead = gamma.ndim - 3
+    batch, rank = t.shape[:lead], t.ndim - lead
+    out = np.zeros(batch + (3,) + t.shape[lead:])
+    g9 = gamma.reshape(gamma.shape[:lead] + (9, 3))
     for slot in range(rank):
-        # -gamma(i, j_slot, m) T[..., m, ...]
-        contr = np.tensordot(gamma, t, axes=([2], [slot]))
+        # -gamma(i, j_slot, m) T[..., m, ...]: the matrix product
+        # np.tensordot(gamma, t, axes=([2], [slot])) makes, one per sample
+        ts = np.moveaxis(t, lead + slot, lead)
+        contr = g9 @ ts.reshape(batch + (3, -1))
         # contr[i, j_slot, rest...] -> move j_slot back into place
-        contr = np.moveaxis(contr, 1, slot + 1)
-        out -= contr
+        contr = contr.reshape(batch + (3,) + ts.shape[lead:])
+        out -= np.moveaxis(contr, lead + 1, lead + slot + 1)
     return out
 
 
 def torsion_tensor(conn: TorsionConnection) -> np.ndarray:
     """T[i,j,k] = <bbA_{e_i} e_j - bbA_{e_j} e_i, e_k>."""
     d = conn.total - conn.base
-    return d - np.transpose(d, (1, 0, 2))
+    return d - np.swapaxes(d, -3, -2)
 
 
 def curvature_D(

@@ -108,6 +108,39 @@ class TestCheck:
         monkeypatch.setenv("HET3_TOL", "banana")
         assert cli.main(["check", path]) == 2
 
+    @pytest.mark.parametrize(
+        "mutation, key, value",
+        [
+            ("nan_phi", "phi", [float("nan"), 0.0, 0.0]),
+            ("kappa_inf", "kappa", float("inf")),
+            ("h_not_number", "h", "abc"),
+            ("structure_constants_not_list", "structure_constants", 5),
+        ],
+    )
+    def test_malformed_value_exit_two(self, tmp_path, capsys, mutation, key, value):
+        doc = dict(SKEW_HEISENBERG_DOC)
+        doc[key] = value
+        path = write_doc(tmp_path, doc, f"{mutation}.json")
+        assert cli.main(["check", path]) == 2
+        assert key.split("_")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, env",
+        [(["--tol", "nan"], None), (["--tol", "-1"], None), ([], "inf")],
+        ids=["tol_nan", "tol_negative", "env_inf"],
+    )
+    def test_bad_tolerance_exit_two(self, tmp_path, monkeypatch, capsys, command, flag, env):
+        if env is not None:
+            monkeypatch.setenv("HET3_TOL", env)
+        if command == "check":
+            argv = ["check", write_doc(tmp_path, SKEW_HEISENBERG_DOC)]
+        else:
+            argv = ["sweep", "--kappa", "1", "--points", "4"]
+        assert cli.main(argv + flag) == 2
+        captured = capsys.readouterr()
+        assert "tolerance" in captured.err and captured.out == ""
+
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
         cli.main(["check", path, "--json"])
@@ -210,6 +243,15 @@ class TestSweep:
         assert rows[0].endswith("OUT_OF_WINDOW")
         assert rows[1].endswith("SOLUTION")
         assert rows[2].endswith("OUT_OF_WINDOW")
+
+    def test_negative_exponent_value(self, capsys):
+        # a separate "-3e-05" is a value, as "--s-min=-3e-05" is
+        base = ["sweep", "--kappa", "1", "--points", "4"]
+        assert cli.main(base + ["--s-min=-3e-05"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main(base + ["--s-min", "-3e-05"]) == 0
+        assert capsys.readouterr().out == joined
+        assert joined.count("SOLUTION") == 3
 
     def test_single_point_rejected(self, capsys):
         assert cli.main(["sweep", "--kappa", "1", "--points", "1"]) == 2

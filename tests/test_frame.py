@@ -124,6 +124,20 @@ class TestCurvatureContractions:
             0.5 * float(np.trace(frame.curv_compose(r, r))), abs=1e-8, rel=1e-9
         )
 
+    @given(grid3, grid3)
+    def test_compose_matches_vector_loop(self, k1, k2):
+        # reference: the loop over 2-forms with vector dot products, bit for bit
+        eye = np.eye(3)
+        want = np.zeros((3, 3))
+        for p in range(3):
+            for q in range(3):
+                for i in range(3):
+                    a = np.cross(eye[p], eye[i]) @ k1
+                    b = np.cross(eye[q], eye[i]) @ k2
+                    want[p, q] += a @ b
+        got = frame.curv_compose(frame.CurvatureOperator(k1), frame.CurvatureOperator(k2))
+        np.testing.assert_array_equal(got, want)
+
 
 def test_first_factor_matches_entries():
     k = np.arange(9.0).reshape(3, 3)

@@ -348,6 +348,26 @@ class TestFullReport:
             assert report.verdict == "NOT_SOLUTION"
             assert report.dilaton == pytest.approx(-sc.h**2, abs=1e-12)
 
+    def test_norms_match_linalg(self, rng):
+        # reference: np.linalg.norm of each residual, bit for bit
+        for _ in range(20):
+            a = rng.normal(size=(3, 3))
+            sc = residuals.SolitonScenario(
+                model=geometry.hyperbolic_model(rng.normal()),
+                contorsion=torsion.Contorsion(a + a.T),
+                h=float(abs(rng.normal()) + 0.1),
+                kappa=float(abs(rng.normal()) + 0.1),
+                phi=np.array([rng.normal(), 0.0, 0.0]),
+            )
+            report = residuals.full_report(sc)
+            assert report.norms == {
+                "einstein": np.linalg.norm(report.einstein_sym),
+                "einstein_skew": np.linalg.norm(report.einstein_skew),
+                "yang_mills": np.linalg.norm(report.yang_mills),
+                "dilaton": abs(report.dilaton),
+                "maxwell": np.linalg.norm(report.maxwell),
+            }
+
     def test_report_is_deterministic(self):
         sc = skew_heisenberg_scenario(kappa=2.0)
         r1 = residuals.full_report(sc)

@@ -105,6 +105,16 @@ class TestConnection:
 
 
 class TestCovariantDerivative:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_tensordot(self, rng, rank):
+        # reference: one np.tensordot per slot, bit for bit
+        gamma = rng.normal(size=(3, 3, 3))
+        t = rng.normal(size=(3,) * rank)
+        want = np.zeros((3,) + t.shape)
+        for slot in range(rank):
+            want -= np.moveaxis(np.tensordot(gamma, t, axes=([2], [slot])), 1, slot + 1)
+        np.testing.assert_array_equal(torsion.covariant_derivative(gamma, t), want)
+
     def test_flat(self, rng):
         conn = torsion.connection_with_torsion(
             geometry.abelian(), torsion.Contorsion(np.zeros((3, 3)))
