@@ -60,12 +60,6 @@ def _fmt_tree(obj):
         return {k: _fmt_tree(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_fmt_tree(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_fmt_tree(float(v)) for v in obj.ravel()] if obj.ndim == 1 else [
-            _fmt_tree(list(row)) for row in obj
-        ]
-    if isinstance(obj, (np.floating,)):
-        return fmt(float(obj))
     return obj
 
 
@@ -285,9 +279,9 @@ def cmd_construct(args) -> int:
     try:
         built = build(args)
     except Het3Error as exc:
-        low, high = constructors.scalar_window(kappa) if kappa > 0 else (0, 0)
         print(f"error: {exc}", file=sys.stderr)
-        if kappa > 0:
+        if 0.0 < kappa < math.inf:
+            low, high = constructors.scalar_window(kappa)
             print(f"admissible s_g window for kappa={kappa:g}: ({low:g}, {high:g})",
                   file=sys.stderr)
         return EXIT_ERROR
@@ -404,10 +398,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except Het3Error as exc:
+    except (ScenarioFileError, Het3Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

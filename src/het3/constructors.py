@@ -27,6 +27,7 @@ from .errors import (
     NonNegativeScalar,
     NonPositiveKappa,
     OutOfWindow,
+    ScenarioValidationError,
 )
 
 AXIS = np.array([0.0, 0.0, 1.0])
@@ -52,7 +53,14 @@ class ConstructedSoliton:
     model_parameter: float  # lambda for Heisenberg, a for hyperbolic
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ScenarioValidationError(f"{name} = {value:g} must be finite")
+
+
 def _require_kappa(kappa: float) -> None:
+    _require_finite(kappa=kappa)
     if not kappa > 0:
         raise NonPositiveKappa(f"kappa = {kappa:g} must be positive")
 
@@ -66,6 +74,7 @@ def construct_generic_reducible(
     gamma = sign/sqrt(kappa) - 2 alpha from kappa (2 alpha + gamma)^2 = 1.
     """
     _require_kappa(kappa)
+    _require_finite(s_g=scalar)
     if not scalar < 0:
         raise NonNegativeScalar(f"s_g = {scalar:g} must be negative")
     if sign not in (+1, -1):
@@ -184,9 +193,15 @@ def classify(sc: residuals.SolitonScenario, tol: float = 1e-9) -> Classification
     """Label the model by its Ricci eigenvalue pattern.
 
     HEISENBERG_TYPE: eigenvalues (mu, -mu, -mu) with mu > 0;
-    HYPERBOLIC_TYPE: Einstein with s < 0; FLAT: Ric = 0.
+    HYPERBOLIC_TYPE: Einstein with s < 0; FLAT: Ric = 0.  Takes a single
+    scenario, not a batch.
     """
-    vals, vecs = np.linalg.eigh(sc.curvature_g.ricci)
+    ricci = sc.curvature_g.ricci
+    if ricci.ndim != 2:
+        raise ValueError(
+            f"classify takes one scenario, not a batch of shape {ricci.shape[:-2]}"
+        )
+    vals, vecs = np.linalg.eigh(ricci)
     if np.max(np.abs(vals)) <= tol:
         return ClassificationVerdict("FLAT", vals, None)
     if np.max(vals) - np.min(vals) <= tol:
@@ -274,5 +289,6 @@ def sweep_window(
     else:
         lo = low if s_min is None else s_min
         hi = high if s_max is None else s_max
+        _require_finite(s_min=lo, s_max=hi)
         samples = list(np.linspace(lo, hi, n_points))
     return _sweep_rows(kappa, samples, tol)

@@ -4,7 +4,9 @@ Everything lives in a single global orthonormal frame e1, e2, e3 with the
 metric equal to the identity, so vectors and 1-forms share the same three
 components.  2-forms are stored through the Hodge duality Lambda^2 = Lambda^1:
 a 2-form is represented by its coefficients in the basis (*e1, *e2, *e3),
-with the orientation fixed by *e1 = e2 ^ e3 (cyclic).
+with the orientation fixed by *e1 = e2 ^ e3 (cyclic).  The Levi-Civita
+symbol EPS and the cyclic pair indices _P, _Q below are the one place that
+states it; the other modules contract with EPS or gather at _P, _Q.
 
 Inner products on Lambda^k use the determinant convention, under which the
 basis (*e1, *e2, *e3) is orthonormal and the dual-component dot product is
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cyclic index pairs: *e_a = e_i ^ e_j for (i, j) = _PAIRS[a]; the same as
-# index arrays, so that x[..., _P, _Q] picks the pairs of the last two axes.
-_PAIRS = ((1, 2), (2, 0), (0, 1))
-_P, _Q = np.array(_PAIRS).T
+# The orientation, stated here only.  Cyclic index pairs: *e_a = e_i ^ e_j
+# for (i, j) = (_P[a], _Q[a]), so that x[..., _P, _Q] picks the pairs of the
+# last two axes.
+_P, _Q = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 # Levi-Civita symbol eps_{ijk} = <e_i x e_j, e_k>.
 EPS = np.cross(np.eye(3)[:, None], np.eye(3))
@@ -95,12 +97,6 @@ class CurvatureOperator:
         """The 2-form R_{X,Y}: evaluation of X, Y in the first factor."""
         return Form2(np.cross(as_vec(x), as_vec(y)) @ self.entries)
 
-    def __add__(self, other: "CurvatureOperator") -> "CurvatureOperator":
-        return CurvatureOperator(self.entries + other.entries)
-
-
-ZERO_CURVATURE = CurvatureOperator(np.zeros((3, 3)))
-
 
 def wedge(u, v) -> Form2:
     """Wedge product of two vectors; dual components are the cross product."""
@@ -137,13 +133,6 @@ def curv_compose(r1: CurvatureOperator, r2: CurvatureOperator) -> np.ndarray:
 def curv_norm_sq(r: CurvatureOperator) -> np.ndarray:
     """|R|^2 = (1/2) tr(R o_g R); equals the Frobenius norm^2 of the grid."""
     return (r.entries * r.entries).sum(axis=(-2, -1))
-
-
-def frame_vector(i: int) -> np.ndarray:
-    """The i-th frame vector (0-based)."""
-    e = np.zeros(3)
-    e[i] = 1.0
-    return e
 
 
 def star_matrix(zeta) -> np.ndarray:

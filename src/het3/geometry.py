@@ -10,6 +10,12 @@ pairs the cyclic 2-form basis with the endomorphism components
 <R_{e_i, e_j} e_k, e_l>.  Under this convention the hyperbolic model of
 sectional curvature -1 has operator grid +Id (R_{X,Y} = X ^ Y).
 
+Moving between the endomorphism components and the 3x3 operator grid is a
+gather at the cyclic pairs frame._P, frame._Q one way and a contraction
+with frame.EPS the other; the reconstruction from Ricci gathers rows and
+columns of *Ric.  Each contraction in them has one nonzero term per entry,
+so it is exact.
+
 Every kernel accepts leading batch axes: structure constants (..., 3, 3, 3),
 connection coefficients (..., 3, 3, 3), endomorphism components
 (..., 3, 3, 3, 3); a single model is batch shape ().
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AntisymmetryViolation, JacobiViolation, TraceMismatch
-from .frame import _P, _PAIRS, _Q, CurvatureOperator
+from .frame import _P, _Q, EPS, CurvatureOperator, star_matrix
 
 STRUCT_TOL = 1e-12
 
@@ -116,23 +122,17 @@ def curvature_endo(sc: StructureConstants, gamma: np.ndarray) -> np.ndarray:
 
 
 def operator_from_endo(rendo: np.ndarray) -> CurvatureOperator:
-    """Collapse endomorphism components onto the dual 2-form basis."""
-    k = np.zeros(rendo.shape[:-2])
-    for a, (i, j) in enumerate(_PAIRS):
-        k[..., a, :] = rendo[..., i, j, _P, _Q]
-    return CurvatureOperator(k)
+    """Collapse endomorphism components onto the dual 2-form basis:
+    K[a, b] = R[i, j, k, l] at the cyclic pairs (i, j) of a and (k, l) of b."""
+    k = rendo[..., _P[:, None], _Q[:, None], _P, _Q]
+    # a C-contiguous copy: curv_norm_sq sums a strided grid in another order
+    return CurvatureOperator(np.ascontiguousarray(k))
 
 
 def endo_from_operator(r: CurvatureOperator) -> np.ndarray:
-    """Expand the dual grid back to full endomorphism components."""
-    out = np.zeros(r.entries.shape[:-2] + (3, 3, 3, 3))
-    eye = np.eye(3)
-    for i in range(3):
-        for j in range(3):
-            dual = np.cross(eye[i], eye[j]) @ r.entries
-            out[..., i, j, _P, _Q] = dual
-            out[..., i, j, _Q, _P] = -dual
-    return out
+    """Expand the dual grid back to full endomorphism components:
+    R[i, j] is the skew grid of the 2-form with dual eps_{ija} K[a, :]."""
+    return star_matrix(EPS @ r.entries[..., None, :, :])
 
 
 @dataclass(frozen=True)
@@ -156,30 +156,27 @@ def curvature(sc: StructureConstants, gamma: np.ndarray) -> CurvatureData:
     )
 
 
+def _check_trace(ric: np.ndarray, s: float, tol: float) -> None:
+    if abs(np.trace(ric) - s) > tol:
+        raise TraceMismatch(f"trace(ricci) = {np.trace(ric):g} but s = {s:g}")
+
+
 def curvature_via_ricci(ricci, s: float, tol: float = 1e-9) -> CurvatureOperator:
     """Reconstruct the 3D Riemann operator from Ricci and scalar curvature.
 
     R_{X,Y} = (s/2) X ^ Y + Y ^ Ric(X) + Ric(Y) ^ X.
     """
     ric = np.asarray(ricci, dtype=float)
-    if abs(np.trace(ric) - s) > tol:
-        raise TraceMismatch(f"trace(ricci) = {np.trace(ric):g} but s = {s:g}")
-    k = np.zeros((3, 3))
-    eye = np.eye(3)
-    for a, (i, j) in enumerate(_PAIRS):
-        dual = (
-            0.5 * s * np.cross(eye[i], eye[j])
-            + np.cross(eye[j], ric @ eye[i])
-            + np.cross(ric @ eye[j], eye[i])
-        )
-        k[a, :] = dual
-    return CurvatureOperator(k)
+    _check_trace(ric, s, tol)
+    # row a at the pair (X, Y) = (e_i, e_j) of *e_a = e_i ^ e_j: X ^ Y = *e_a,
+    # and e_j ^ w, w ^ e_i are column j and row i of the skew grid *w
+    star_ric = star_matrix(ric.T)  # star_ric[i] = *(Ric e_i)
+    return CurvatureOperator(0.5 * s * np.eye(3) + star_ric[_P, :, _Q] + star_ric[_Q, _P])
 
 
 def ricci_square_identity(ricci, s: float, tol: float = 1e-9) -> np.ndarray:
     """3D closed form: R o_g R = -Ric.Ric + s Ric + (|Ric|^2 - s^2/2) g."""
     ric = np.asarray(ricci, dtype=float)
-    if abs(np.trace(ric) - s) > tol:
-        raise TraceMismatch(f"trace(ricci) = {np.trace(ric):g} but s = {s:g}")
+    _check_trace(ric, s, tol)
     ric_sq = float(np.sum(ric * ric))
     return -ric @ ric + s * ric + (ric_sq - 0.5 * s * s) * np.eye(3)

@@ -6,6 +6,8 @@ connection acts on frame-constant fields by
     nabla^{g,A}_X Y = nabla^g_X Y + Y x A(X),
 
 where x is the cross product: bbA_X is the matrix of the 2-form *(A(X)).
+Its frame coefficients are therefore one contraction of A with the
+Levi-Civita symbol (``contorsion_coefficients``), exact entry by entry.
 A splits into a trace part, a traceless symmetric part Theta, and a skew
 part *zeta.
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import geometry
 from .errors import NonUnitAxis
-from .frame import CurvatureOperator, as_grid, as_vec, star_matrix
+from .frame import _P, _Q, CurvatureOperator, as_grid, as_vec, star_matrix
 
 UNIT_TOL = 1e-9
 
@@ -55,7 +57,7 @@ class Contorsion:
     def skew_vector(self) -> np.ndarray:
         """zeta with skew(A) = *zeta."""
         k = 0.5 * (self.a - self.a.swapaxes(-1, -2))
-        return k[..., [1, 2, 0], [2, 0, 1]]
+        return k[..., _P, _Q]
 
     def is_pure_skew_torsion(self, tol: float = 1e-12) -> np.ndarray:
         """True when A = alpha g, i.e. the torsion is a 3-form; per sample."""
@@ -123,13 +125,8 @@ def contorsion_coefficients(ct: Contorsion) -> np.ndarray:
     [e1,e2] = 2 alpha e3 has D-parallel axis e3 for A = alpha g, tying the
     structure constant to the torsion parameter with a positive alpha.
     """
-    out = np.zeros(ct.a.shape[:-2] + (3, 3, 3))
-    eye = np.eye(3)
-    for i in range(3):
-        av = ct.a[..., i, :]
-        for j in range(3):
-            out[..., i, j, :] = np.cross(eye[j], av)
-    return out
+    # <e_j x v, e_k> = eps_{jmk} v_m = -(*v)_{jk}
+    return -star_matrix(ct.a)
 
 
 def connection_with_torsion(

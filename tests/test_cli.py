@@ -283,6 +283,25 @@ class TestClassify:
         assert cli.main(["classify", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "heisenberg-skew", "--kappa", "inf"],
+        ["construct", "boundary", "--kappa", "inf"],
+        ["construct", "heisenberg-generic", "--kappa", "1", "--scalar=-inf"],
+        ["sweep", "--kappa", "inf", "--points", "2"],
+        ["sweep", "--kappa", "1", "--points", "3", "--s-min", "nan"],
+        ["sweep", "--kappa", "1", "--points", "3", "--s-max=inf"],
+    ],
+    ids=["skew_kappa_inf", "boundary_kappa_inf", "generic_scalar_minus_inf",
+         "sweep_kappa_inf", "sweep_s_min_nan", "sweep_s_max_inf"],
+)
+def test_non_finite_argument_exit_two(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be finite" in captured.err and captured.out == ""
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -191,6 +191,17 @@ class TestClassify:
         )
         assert constructors.classify(sc).kind == "OTHER"
 
+    def test_rejects_batch(self):
+        batch = residuals.SolitonScenario.stack(
+            [
+                constructors.construct_skew_heisenberg(1.0).scenario,
+                constructors.construct_skew_heisenberg(4.0).scenario,
+                constructors.construct_hyperbolic_skew(1.0, -6.0).scenario,
+            ]
+        )
+        with pytest.raises(ValueError, match=r"batch of shape \(3,\)"):
+            constructors.classify(batch)
+
 
 class TestSweep:
     def test_all_rows_solve(self):

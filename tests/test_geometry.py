@@ -7,6 +7,11 @@ from conftest import model_corpus, random_model
 from het3 import frame, geometry
 from het3.errors import AntisymmetryViolation, JacobiViolation, TraceMismatch
 
+# the cyclic pairs (i, j) of *e_a = e_i ^ e_j, restated for the reference loops
+PAIRS = ((1, 2), (2, 0), (0, 1))
+P, Q = [1, 2, 0], [2, 0, 1]
+SHAPES = [(), (12,), (3, 4)]
+
 
 class TestValidate:
     def test_abelian_ok(self):
@@ -151,6 +156,52 @@ class TestCurvatureIdentities:
             geometry.curvature_via_ricci(np.eye(3), -1.0)
         with pytest.raises(TraceMismatch):
             geometry.ricci_square_identity(np.eye(3), 7.0)
+
+
+class TestMatchesPairLoops:
+    """The epsilon contractions against reference loops over frame pairs,
+    bit for bit (exact zeros may differ in sign)."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_operator_from_endo(self, rng, shape):
+        rendo = rng.normal(size=shape + (3, 3, 3, 3))
+        want = np.zeros(shape + (3, 3))
+        for a, (i, j) in enumerate(PAIRS):
+            want[..., a, :] = rendo[..., i, j, P, Q]
+        got = geometry.operator_from_endo(rendo).entries
+        np.testing.assert_array_equal(got, want)
+        # a strided grid would change the summation order of curv_norm_sq
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_endo_from_operator(self, rng, shape):
+        k = rng.normal(size=shape + (3, 3))
+        want = np.zeros(shape + (3, 3, 3, 3))
+        eye = np.eye(3)
+        for i in range(3):
+            for j in range(3):
+                dual = np.cross(eye[i], eye[j]) @ k
+                want[..., i, j, P, Q] = dual
+                want[..., i, j, Q, P] = -dual
+        got = geometry.endo_from_operator(frame.CurvatureOperator(k))
+        np.testing.assert_array_equal(got, want)
+
+    def test_curvature_via_ricci(self, rng):
+        # a single scenario: random Ricci grids, non-symmetric and symmetric
+        eye = np.eye(3)
+        for n in range(50):
+            ric = rng.normal(size=(3, 3))
+            if n % 2:
+                ric = ric + ric.T
+            s = float(np.trace(ric))
+            want = np.zeros((3, 3))
+            for a, (i, j) in enumerate(PAIRS):
+                want[a] = (
+                    0.5 * s * np.cross(eye[i], eye[j])
+                    + np.cross(eye[j], ric @ eye[i])
+                    + np.cross(ric @ eye[j], eye[i])
+                )
+            np.testing.assert_array_equal(geometry.curvature_via_ricci(ric, s).entries, want)
 
 
 def test_from_entries_and_bracket():

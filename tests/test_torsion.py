@@ -96,6 +96,19 @@ class TestConnection:
             torsion.torsion_tensor(conn), delta - np.transpose(delta, (1, 0, 2)), atol=1e-14
         )
 
+    @pytest.mark.parametrize("shape", [(), (12,), (3, 4)])
+    def test_coefficients_match_cross_loop(self, rng, shape):
+        # reference: e_j x A(e_i) per frame pair, bit for bit (exact zeros may
+        # differ in sign)
+        a = rng.normal(size=shape + (3, 3))
+        want = np.zeros(shape + (3, 3, 3))
+        eye = np.eye(3)
+        for i in range(3):
+            for j in range(3):
+                want[..., i, j, :] = np.cross(eye[j], a[..., i, :])
+        got = torsion.contorsion_coefficients(torsion.Contorsion(a))
+        np.testing.assert_array_equal(got, want)
+
     def test_heisenberg_parallel_axis(self):
         # A = (lambda/2) g makes e3 D-parallel on [e1,e2] = lambda e3
         lam = 1.0
