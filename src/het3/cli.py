@@ -12,10 +12,12 @@ Scenario files are JSON documents with 1-based frame indices:
     }
 
 The contorsion may alternatively be {"matrix": [[...], [...], [...]]}
-(row-major 3x3).  Every number must be finite.  Exit codes: 0 = SOLUTION,
-1 = NOT_SOLUTION, 2 = input or parameter error.  The default residual
-tolerance is 1e-9 and can be overridden with --tol or the HET3_TOL
-environment variable; it must be positive and finite.
+(row-major 3x3), with no other key.  Every number must be a finite JSON
+number, not a string or a boolean; a key that docs/scenario.schema.json does
+not name is rejected.  Exit codes: 0 = SOLUTION, 1 = NOT_SOLUTION, 2 = input
+or parameter error.  The default residual tolerance is 1e-9 and can be
+overridden with --tol or the HET3_TOL environment variable; it must be
+positive and finite.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import sys
 import numpy as np
 
 from . import __version__, constructors, geometry, residuals, torsion
-from .errors import Het3Error
+from .errors import Het3Error, OutOfWindow
 
 # Python 3.13's pattern: older argparse reads "-3e-05" as an option, not a value
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
@@ -86,30 +88,53 @@ def tolerance(flag: float | None) -> float:
     return tol
 
 
+def _is_number(value) -> bool:
+    """A JSON number; bool is an int in Python, but not a number in JSON."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value, shape: tuple) -> bool:
+    """Whether value is nested lists of numbers of the given shape."""
+    if not shape:
+        return _is_number(value)
+    return isinstance(value, (list, tuple)) and len(value) == shape[0] and all(
+        _numbers(v, shape[1:]) for v in value
+    )
+
+
+def _array(value, where: str, shape: tuple = ()) -> np.ndarray:
+    if not _numbers(value, shape):
+        what = f"numbers of shape {shape}" if shape else "a number"
+        raise ScenarioFileError(f"{where} must be {what}, got {value!r}")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:  # an integer literal past the float range
+        raise ScenarioFileError(f"{where} must be finite (no NaN or inf)") from exc
+
+
 def _number(value, where: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFileError(f"{where} must be a number, got {value!r}") from exc
+    return float(_array(value, where))
 
 
-def _array(value, where: str, shape: tuple) -> np.ndarray:
-    try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFileError(f"{where} must be numbers, got {value!r}") from exc
-    if a.shape != shape:
-        raise ScenarioFileError(f"{where} must have shape {shape}, got {a.shape}")
-    return a
+def _check_fields(obj: dict, required: tuple, optional: tuple, where: str) -> None:
+    """Reject a missing field and a field that the schema does not name."""
+    for key in required:
+        if key not in obj:
+            raise ScenarioFileError(f"{where}missing required field {key!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise ScenarioFileError(f"{where}unknown field {key!r}")
 
 
 def parse_scenario(doc: dict) -> residuals.SolitonScenario:
-    """Parse a scenario JSON document, with field-level diagnostics."""
+    """Parse a scenario JSON document, with field-level diagnostics.
+
+    Accepts the language of docs/scenario.schema.json, and on top of it
+    requires i < j, finite numbers and a valid model and contorsion.
+    """
     if not isinstance(doc, dict):
         raise ScenarioFileError("scenario document must be a JSON object")
-    for key in ("structure_constants", "contorsion", "h", "kappa"):
-        if key not in doc:
-            raise ScenarioFileError(f"missing required field: {key!r}")
+    _check_fields(doc, ("structure_constants", "contorsion", "h", "kappa"), ("phi",), "")
     if not isinstance(doc["structure_constants"], list):
         raise ScenarioFileError("structure_constants must be a list of [i, j, k, value]")
     entries = []
@@ -119,24 +144,25 @@ def parse_scenario(doc: dict) -> residuals.SolitonScenario:
                 f"structure_constants[{n}]: expected [i, j, k, value]"
             )
         i, j, k, v = row
-        if not all(isinstance(x, int) and 1 <= x <= 3 for x in (i, j, k)):
+        # 2.0 is an integer to the schema, True is not
+        if not all(_is_number(x) and x in (1, 2, 3) for x in (i, j, k)):
             raise ScenarioFileError(
                 f"structure_constants[{n}]: indices must be integers in 1..3"
             )
         if not i < j:
             raise ScenarioFileError(f"structure_constants[{n}]: requires i < j")
-        entries.append((i - 1, j - 1, k - 1, _number(v, f"structure_constants[{n}] value")))
+        value = _number(v, f"structure_constants[{n}] value")
+        entries.append((int(i) - 1, int(j) - 1, int(k) - 1, value))
     model = geometry.StructureConstants.from_entries(entries)
 
     ct_doc = doc["contorsion"]
     if not isinstance(ct_doc, dict):
         raise ScenarioFileError("contorsion must be an object")
     if "matrix" in ct_doc:
+        _check_fields(ct_doc, ("matrix",), (), "contorsion: ")
         contorsion = torsion.Contorsion(_array(ct_doc["matrix"], "contorsion.matrix", (3, 3)))
     else:
-        for key in ("alpha", "beta", "gamma", "xi"):
-            if key not in ct_doc:
-                raise ScenarioFileError(f"contorsion: missing field {key!r}")
+        _check_fields(ct_doc, ("alpha", "beta", "gamma", "xi"), (), "contorsion: ")
         if _number(ct_doc["beta"], "contorsion.beta") != 0.0:
             raise ScenarioFileError(
                 "contorsion.beta must be 0: on a compact model the trace "
@@ -174,6 +200,8 @@ def load_scenario(path: str) -> residuals.SolitonScenario:
         raise ScenarioFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise ScenarioFileError(f"{path}: {exc}") from exc
     return parse_scenario(doc)
 
 
@@ -272,18 +300,16 @@ FAMILY_TABLE = {
 
 
 def cmd_construct(args) -> int:
-    kappa = args.kappa
     build, needs_scalar = FAMILY_TABLE[args.family]
     if needs_scalar and args.scalar is None:
         raise ScenarioFileError("--scalar is required for this family")
     try:
         built = build(args)
-    except Het3Error as exc:
+    except OutOfWindow as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if 0.0 < kappa < math.inf:
-            low, high = constructors.scalar_window(kappa)
-            print(f"admissible s_g window for kappa={kappa:g}: ({low:g}, {high:g})",
-                  file=sys.stderr)
+        low, high = constructors.scalar_window(args.kappa)
+        print(f"admissible s_g window for kappa={args.kappa:g}: ({low:g}, {high:g})",
+              file=sys.stderr)
         return EXIT_ERROR
 
     # full precision: json writes each float as its shortest round-trip repr

@@ -12,6 +12,10 @@ Families:
   kappa (h^2 + 12 alpha^2)^2 = 48 h^2.
 * BOUNDARY_VANISHING_TORSION -- the alpha = 0 limit at kappa s = -24 with
   D = nabla^g and h = sqrt(48/kappa).
+
+Each constructor checks its arguments, derives the family's parameters and
+returns through one tail, which checks that every derived value is finite
+(h = sqrt(-2 s) overflows at s = -1e308) before it builds any array.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import (
 )
 
 AXIS = np.array([0.0, 0.0, 1.0])
+CLASSIFY_TOL = 1e-9  # eigenvalue equalities in classify
 
 HEISENBERG_GENERIC = "heisenberg-generic"
 HEISENBERG_SKEW = "heisenberg-skew"
@@ -65,6 +70,28 @@ def _require_kappa(kappa: float) -> None:
         raise NonPositiveKappa(f"kappa = {kappa:g} must be positive")
 
 
+def _constructed(
+    family: str, model, model_parameter: float, *,
+    alpha: float, gamma: float, h: float, scalar: float, kappa: float,
+) -> ConstructedSoliton:
+    """The one exit of every constructor: check the derived values, then build.
+
+    ``model`` maps ``model_parameter`` to the structure constants; the
+    contorsion is A = alpha g + gamma xi (x) xi along AXIS.
+    """
+    _require_finite(alpha=alpha, gamma=gamma, h=h, s_g=scalar, model_parameter=model_parameter)
+    if gamma == 0.0:
+        contorsion = torsion.skew(alpha)
+    else:
+        contorsion = torsion.build_reducible(
+            torsion.ReducibleTorsionParams(alpha=alpha, beta=0.0, gamma=gamma, xi=AXIS)
+        )
+    sc = residuals.SolitonScenario(
+        model=model(model_parameter), contorsion=contorsion, h=h, kappa=kappa
+    )
+    return ConstructedSoliton(sc, family, alpha, gamma, h, scalar, model_parameter)
+
+
 def construct_generic_reducible(
     kappa: float, scalar: float, sign: int = +1
 ) -> ConstructedSoliton:
@@ -87,18 +114,8 @@ def construct_generic_reducible(
             "use the skew Heisenberg constructor"
         )
     h = math.sqrt(-2.0 * scalar)
-    model = geometry.heisenberg(2.0 * alpha)
-    params = torsion.ReducibleTorsionParams(alpha=alpha, beta=0.0, gamma=gamma, xi=AXIS)
-    sc = residuals.SolitonScenario.from_params(model, params, h=h, kappa=kappa)
-    return ConstructedSoliton(
-        scenario=sc,
-        family=HEISENBERG_GENERIC,
-        alpha=alpha,
-        gamma=gamma,
-        h=h,
-        scalar=scalar,
-        model_parameter=2.0 * alpha,
-    )
+    return _constructed(HEISENBERG_GENERIC, geometry.heisenberg, 2.0 * alpha,
+                        alpha=alpha, gamma=gamma, h=h, scalar=scalar, kappa=kappa)
 
 
 def construct_skew_heisenberg(kappa: float) -> ConstructedSoliton:
@@ -107,19 +124,8 @@ def construct_skew_heisenberg(kappa: float) -> ConstructedSoliton:
     alpha = 0.5 / math.sqrt(kappa)
     h = 1.0 / math.sqrt(kappa)
     scalar = -2.0 * alpha * alpha  # = -1/(2 kappa)
-    model = geometry.heisenberg(2.0 * alpha)
-    sc = residuals.SolitonScenario(
-        model=model, contorsion=torsion.skew(alpha), h=h, kappa=kappa
-    )
-    return ConstructedSoliton(
-        scenario=sc,
-        family=HEISENBERG_SKEW,
-        alpha=alpha,
-        gamma=0.0,
-        h=h,
-        scalar=scalar,
-        model_parameter=2.0 * alpha,
-    )
+    return _constructed(HEISENBERG_SKEW, geometry.heisenberg, 2.0 * alpha,
+                        alpha=alpha, gamma=0.0, h=h, scalar=scalar, kappa=kappa)
 
 
 def scalar_window(kappa: float) -> tuple[float, float]:
@@ -135,7 +141,6 @@ def construct_hyperbolic_skew(kappa: float, scalar: float) -> ConstructedSoliton
     kappa (h^2 + 12 alpha^2)^2 = 48 h^2 on the positive square-root branch.
     """
     _require_kappa(kappa)
-    window = scalar_window(kappa)
     ks = kappa * scalar
     if not (-24.0 < ks < 0.0):
         raise OutOfWindow(ks, (-24.0, 0.0))
@@ -144,19 +149,8 @@ def construct_hyperbolic_skew(kappa: float, scalar: float) -> ConstructedSoliton
     alpha_sq = (math.sqrt(48.0 * h2 / kappa) - h2) / 12.0
     # strictly positive inside the open window
     alpha = math.sqrt(alpha_sq)
-    model = geometry.hyperbolic_model(a)
-    sc = residuals.SolitonScenario(
-        model=model, contorsion=torsion.skew(alpha), h=math.sqrt(h2), kappa=kappa
-    )
-    return ConstructedSoliton(
-        scenario=sc,
-        family=HYPERBOLIC,
-        alpha=alpha,
-        gamma=0.0,
-        h=math.sqrt(h2),
-        scalar=scalar,
-        model_parameter=a,
-    )
+    return _constructed(HYPERBOLIC, geometry.hyperbolic_model, a,
+                        alpha=alpha, gamma=0.0, h=math.sqrt(h2), scalar=scalar, kappa=kappa)
 
 
 def boundary_vanishing_torsion(kappa: float) -> ConstructedSoliton:
@@ -165,19 +159,8 @@ def boundary_vanishing_torsion(kappa: float) -> ConstructedSoliton:
     scalar = -24.0 / kappa
     a = math.sqrt(4.0 / kappa)
     h = math.sqrt(48.0 / kappa)
-    model = geometry.hyperbolic_model(a)
-    sc = residuals.SolitonScenario(
-        model=model, contorsion=torsion.skew(0.0), h=h, kappa=kappa
-    )
-    return ConstructedSoliton(
-        scenario=sc,
-        family=BOUNDARY,
-        alpha=0.0,
-        gamma=0.0,
-        h=h,
-        scalar=scalar,
-        model_parameter=a,
-    )
+    return _constructed(BOUNDARY, geometry.hyperbolic_model, a,
+                        alpha=0.0, gamma=0.0, h=h, scalar=scalar, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -189,12 +172,12 @@ class ClassificationVerdict:
     simple_axis: np.ndarray | None
 
 
-def classify(sc: residuals.SolitonScenario, tol: float = 1e-9) -> ClassificationVerdict:
+def classify(sc: residuals.SolitonScenario) -> ClassificationVerdict:
     """Label the model by its Ricci eigenvalue pattern.
 
     HEISENBERG_TYPE: eigenvalues (mu, -mu, -mu) with mu > 0;
-    HYPERBOLIC_TYPE: Einstein with s < 0; FLAT: Ric = 0.  Takes a single
-    scenario, not a batch.
+    HYPERBOLIC_TYPE: Einstein with s < 0; FLAT: Ric = 0, each up to
+    CLASSIFY_TOL.  Takes a single scenario, not a batch.
     """
     ricci = sc.curvature_g.ricci
     if ricci.ndim != 2:
@@ -202,13 +185,13 @@ def classify(sc: residuals.SolitonScenario, tol: float = 1e-9) -> Classification
             f"classify takes one scenario, not a batch of shape {ricci.shape[:-2]}"
         )
     vals, vecs = np.linalg.eigh(ricci)
-    if np.max(np.abs(vals)) <= tol:
+    if np.max(np.abs(vals)) <= CLASSIFY_TOL:
         return ClassificationVerdict("FLAT", vals, None)
-    if np.max(vals) - np.min(vals) <= tol:
+    if np.max(vals) - np.min(vals) <= CLASSIFY_TOL:
         kind = "HYPERBOLIC_TYPE" if vals[0] < 0 else "OTHER"
         return ClassificationVerdict(kind, vals, None)
     mu = vals[2]
-    if mu > tol and abs(vals[0] + mu) <= tol and abs(vals[1] + mu) <= tol:
+    if mu > CLASSIFY_TOL and np.all(np.abs(vals[:2] + mu) <= CLASSIFY_TOL):
         axis = vecs[:, 2]
         if axis[np.argmax(np.abs(axis))] < 0:
             axis = -axis

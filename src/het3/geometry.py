@@ -31,6 +31,7 @@ from .errors import AntisymmetryViolation, JacobiViolation, TraceMismatch
 from .frame import _P, _Q, EPS, CurvatureOperator, star_matrix
 
 STRUCT_TOL = 1e-12
+TRACE_TOL = 1e-9  # trace(Ric) against the given s in the closed forms
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,14 @@ def jacobi_defect(sc: StructureConstants) -> np.ndarray:
     return np.abs(cyc).max(axis=(-4, -3, -2, -1))
 
 
-def validate(sc: StructureConstants, tol: float = STRUCT_TOL) -> None:
+def validate(sc: StructureConstants) -> None:
     """Raise unless every model's c is antisymmetric in (i, j) and satisfies
-    Jacobi; the message gives the worst deviation."""
+    Jacobi up to STRUCT_TOL; the message gives the worst deviation."""
     anti = np.abs(sc.c + sc.c.swapaxes(-3, -2)).max()
-    if anti > tol:
+    if anti > STRUCT_TOL:
         raise AntisymmetryViolation(f"c_ijk + c_jik deviates by {anti:g}")
     defect = jacobi_defect(sc).max()
-    if defect > tol:
+    if defect > STRUCT_TOL:
         raise JacobiViolation(f"Jacobi identity violated by {defect:g}")
 
 
@@ -156,27 +157,27 @@ def curvature(sc: StructureConstants, gamma: np.ndarray) -> CurvatureData:
     )
 
 
-def _check_trace(ric: np.ndarray, s: float, tol: float) -> None:
-    if abs(np.trace(ric) - s) > tol:
+def _check_trace(ric: np.ndarray, s: float) -> None:
+    if abs(np.trace(ric) - s) > TRACE_TOL:
         raise TraceMismatch(f"trace(ricci) = {np.trace(ric):g} but s = {s:g}")
 
 
-def curvature_via_ricci(ricci, s: float, tol: float = 1e-9) -> CurvatureOperator:
+def curvature_via_ricci(ricci, s: float) -> CurvatureOperator:
     """Reconstruct the 3D Riemann operator from Ricci and scalar curvature.
 
     R_{X,Y} = (s/2) X ^ Y + Y ^ Ric(X) + Ric(Y) ^ X.
     """
     ric = np.asarray(ricci, dtype=float)
-    _check_trace(ric, s, tol)
+    _check_trace(ric, s)
     # row a at the pair (X, Y) = (e_i, e_j) of *e_a = e_i ^ e_j: X ^ Y = *e_a,
     # and e_j ^ w, w ^ e_i are column j and row i of the skew grid *w
     star_ric = star_matrix(ric.T)  # star_ric[i] = *(Ric e_i)
     return CurvatureOperator(0.5 * s * np.eye(3) + star_ric[_P, :, _Q] + star_ric[_Q, _P])
 
 
-def ricci_square_identity(ricci, s: float, tol: float = 1e-9) -> np.ndarray:
+def ricci_square_identity(ricci, s: float) -> np.ndarray:
     """3D closed form: R o_g R = -Ric.Ric + s Ric + (|Ric|^2 - s^2/2) g."""
     ric = np.asarray(ricci, dtype=float)
-    _check_trace(ric, s, tol)
+    _check_trace(ric, s)
     ric_sq = float(np.sum(ric * ric))
     return -ric @ ric + s * ric + (ric_sq - 0.5 * s * s) * np.eye(3)

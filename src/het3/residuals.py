@@ -56,6 +56,7 @@ from .frame import (
 )
 
 DEFAULT_TOL = 1e-9
+VALIDATE_TOL = 1e-10  # skew part of the contorsion and d phi in validate_scenario
 
 
 def _per_grid(x) -> np.ndarray:
@@ -110,32 +111,11 @@ class SolitonScenario:
             phi=np.stack([s.phi for s in scenarios]),
         )
 
-    @classmethod
-    def from_params(
-        cls,
-        model: geometry.StructureConstants,
-        params: torsion.ReducibleTorsionParams,
-        h: float,
-        kappa: float,
-        phi=None,
-    ) -> "SolitonScenario":
-        if abs(params.beta) > 0:
-            raise ScenarioValidationError(
-                "beta != 0 is excluded: on a compact model delta xi = 2 beta "
-                "forces beta = 0"
-            )
-        return cls(
-            model=model,
-            contorsion=torsion.build_reducible(params),
-            h=h,
-            kappa=kappa,
-            phi=np.zeros(3) if phi is None else phi,
-        )
 
-
-def validate_scenario(sc: SolitonScenario, tol: float = 1e-10) -> None:
+def validate_scenario(sc: SolitonScenario) -> None:
     """Structural checks: finite inputs, model validity, kappa > 0, h > 0,
-    beta = 0, phi closed.  A batch passes only if every sample does."""
+    beta = 0 and phi closed, the last two up to VALIDATE_TOL.  A batch
+    passes only if every sample does."""
     for name, value in [
         ("structure constants", sc.model.c),
         ("contorsion", sc.contorsion.a),
@@ -151,14 +131,14 @@ def validate_scenario(sc: SolitonScenario, tol: float = 1e-10) -> None:
     if not np.greater(sc.h, 0).all():
         raise ScenarioValidationError(f"h = {np.min(sc.h):g} must be positive")
     zeta = sc.contorsion.skew_vector
-    if np.abs(zeta).max() > tol:
+    if np.abs(zeta).max() > VALIDATE_TOL:
         raise ScenarioValidationError(
             "contorsion has a skew component (beta != 0 along the axis), "
             "excluded on compact models since delta xi = 2 beta"
         )
     # closedness of a frame-constant 1-form: phi([e_i, e_j]) = 0
     dphi = np.einsum("...ijk,...k->...ij", sc.model.c, sc.phi)
-    if np.abs(dphi).max() > tol:
+    if np.abs(dphi).max() > VALIDATE_TOL:
         raise ScenarioValidationError("phi is not closed: phi([e_i,e_j]) != 0")
 
 
@@ -215,7 +195,7 @@ def yang_mills_skew_path(sc: SolitonScenario) -> np.ndarray:
     (the +3 alpha sign goes with the fixed 2-form action convention).
     """
     ct = sc.contorsion
-    if not ct.is_pure_skew_torsion(tol=1e-10).all():
+    if not ct.is_pure_skew_torsion().all():
         raise NotSkewTorsion("contorsion is not of the form alpha * g")
     alpha = ct.trace_part
     data = sc.curvature_g
@@ -263,7 +243,7 @@ def remark_identity_residual(sc: SolitonScenario) -> np.ndarray:
     contorsion alpha g in every sample of a batch.
     """
     ct = sc.contorsion
-    if not ct.is_pure_skew_torsion(tol=1e-10).all():
+    if not ct.is_pure_skew_torsion().all():
         raise NotSkewTorsion("contorsion is not of the form alpha * g")
     alpha = ct.trace_part
     data = sc.curvature_g

@@ -31,6 +31,7 @@ from .errors import NonUnitAxis
 from .frame import _P, _Q, CurvatureOperator, as_grid, as_vec, star_matrix
 
 UNIT_TOL = 1e-9
+SKEW_TOL = 1e-10  # Theta and zeta of a purely skew torsion A = alpha g
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,11 @@ class Contorsion:
         k = 0.5 * (self.a - self.a.swapaxes(-1, -2))
         return k[..., _P, _Q]
 
-    def is_pure_skew_torsion(self, tol: float = 1e-12) -> np.ndarray:
-        """True when A = alpha g, i.e. the torsion is a 3-form; per sample."""
-        return (np.abs(self.traceless_sym).max(axis=(-2, -1)) <= tol) & (
-            np.abs(self.skew_vector).max(axis=-1) <= tol
+    def is_pure_skew_torsion(self) -> np.ndarray:
+        """True when A = alpha g up to SKEW_TOL, i.e. the torsion is a 3-form;
+        per sample."""
+        return (np.abs(self.traceless_sym).max(axis=(-2, -1)) <= SKEW_TOL) & (
+            np.abs(self.skew_vector).max(axis=-1) <= SKEW_TOL
         )
 
 

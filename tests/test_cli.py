@@ -115,6 +115,9 @@ class TestCheck:
             ("kappa_inf", "kappa", float("inf")),
             ("h_not_number", "h", "abc"),
             ("structure_constants_not_list", "structure_constants", 5),
+            # JSON numbers past the float range
+            pytest.param("h_huge_integer", "h", 10**400, id="h_huge_integer"),
+            pytest.param("phi_huge_integer", "phi", [0, 0, 10**400], id="phi_huge_integer"),
         ],
     )
     def test_malformed_value_exit_two(self, tmp_path, capsys, mutation, key, value):
@@ -123,6 +126,18 @@ class TestCheck:
         path = write_doc(tmp_path, doc, f"{mutation}.json")
         assert cli.main(["check", path]) == 2
         assert key.split("_")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"\xff\xfe{}", b'{"h": ' + b"1" * 5000 + b"}"],
+        ids=["not_utf8", "integer_past_digit_limit"],
+    )
+    def test_unreadable_document_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(text)
+        assert cli.main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["check", "sweep"])
     @pytest.mark.parametrize(
@@ -175,6 +190,22 @@ class TestConstruct:
         assert code == 2
         err = capsys.readouterr().err
         assert "(-24, 0)" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "heisenberg-generic", "--kappa", "1", "--scalar=-inf"],
+            ["construct", "heisenberg-generic", "--kappa", "1", "--scalar", "-0.5"],
+            ["construct", "heisenberg-skew", "--kappa", "0"],
+            ["construct", "hyperbolic", "--kappa", "-1", "--scalar", "-6"],
+        ],
+        ids=["generic_scalar_inf", "generic_degenerate", "skew_kappa_zero",
+             "hyperbolic_kappa_negative"],
+    )
+    def test_window_hint_only_out_of_window(self, capsys, argv):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "admissible" not in err
 
     def test_nonpositive_kappa(self, capsys):
         assert cli.main(["construct", "heisenberg-skew", "--kappa", "-1"]) == 2
@@ -292,11 +323,20 @@ class TestClassify:
         ["sweep", "--kappa", "inf", "--points", "2"],
         ["sweep", "--kappa", "1", "--points", "3", "--s-min", "nan"],
         ["sweep", "--kappa", "1", "--points", "3", "--s-max=inf"],
+        # finite arguments whose derived values overflow
+        ["construct", "heisenberg-generic", "--kappa", "1", "--scalar=-1e308"],
+        ["construct", "heisenberg-skew", "--kappa", "1e-320"],
+        ["construct", "hyperbolic", "--kappa", "1e-300", "--scalar=-1e301"],
+        ["construct", "boundary", "--kappa", "1e-320"],
+        ["sweep", "--kappa", "1e-300", "--points", "2"],
     ],
     ids=["skew_kappa_inf", "boundary_kappa_inf", "generic_scalar_minus_inf",
-         "sweep_kappa_inf", "sweep_s_min_nan", "sweep_s_max_inf"],
+         "sweep_kappa_inf", "sweep_s_min_nan", "sweep_s_max_inf",
+         "generic_h_overflow", "skew_scalar_overflow", "hyperbolic_alpha_overflow",
+         "boundary_overflow", "sweep_alpha_overflow"],
 )
 def test_non_finite_argument_exit_two(capsys, argv):
+    # a RuntimeWarning on the way is an error under the pytest settings
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert "must be finite" in captured.err and captured.out == ""

@@ -260,3 +260,64 @@ class TestCorpusProperties:
             rform = geometry.endo_from_operator(r)
             dr = torsion.covariant_derivative(conn.total, rform)
             np.testing.assert_allclose(dr, 0.0, atol=1e-11, err_msg=built.family)
+
+
+def separate_construction(family, kappa, sign=+1):
+    """Each family built on its own, as the constructors did before they shared
+    one tail: (family, alpha, gamma, h, s_g, model parameter, model, contorsion)."""
+    if family == constructors.HEISENBERG_GENERIC:
+        scalar = -2.0 / kappa
+        alpha = math.sqrt(-0.5 * scalar)
+        gamma = sign / math.sqrt(kappa) - 2.0 * alpha
+        params = torsion.ReducibleTorsionParams(
+            alpha=alpha, beta=0.0, gamma=gamma, xi=constructors.AXIS
+        )
+        return (family, alpha, gamma, math.sqrt(-2.0 * scalar), scalar, 2.0 * alpha,
+                geometry.heisenberg(2.0 * alpha), torsion.build_reducible(params))
+    if family == constructors.HEISENBERG_SKEW:
+        alpha = 0.5 / math.sqrt(kappa)
+        return (family, alpha, 0.0, 1.0 / math.sqrt(kappa), -2.0 * alpha * alpha,
+                2.0 * alpha, geometry.heisenberg(2.0 * alpha), torsion.skew(alpha))
+    if family == constructors.HYPERBOLIC:
+        scalar = -6.0 / kappa
+        a = math.sqrt(-scalar / 6.0)
+        h2 = -2.0 * scalar
+        alpha = math.sqrt((math.sqrt(48.0 * h2 / kappa) - h2) / 12.0)
+        return (family, alpha, 0.0, math.sqrt(h2), scalar, a,
+                geometry.hyperbolic_model(a), torsion.skew(alpha))
+    a = math.sqrt(4.0 / kappa)
+    return (family, 0.0, 0.0, math.sqrt(48.0 / kappa), -24.0 / kappa, a,
+            geometry.hyperbolic_model(a), torsion.skew(0.0))
+
+
+class TestOneTail:
+    """Every family, returned through the shared checked tail, is bit for bit
+    the scenario its own construction gives."""
+
+    @pytest.mark.parametrize("kappa", [3.7 * 10.0**d for d in range(-8, 8)])
+    @pytest.mark.parametrize(
+        "family, sign",
+        [(constructors.HEISENBERG_GENERIC, +1), (constructors.HEISENBERG_GENERIC, -1),
+         (constructors.HEISENBERG_SKEW, +1), (constructors.HYPERBOLIC, +1),
+         (constructors.BOUNDARY, +1)],
+    )
+    def test_matches_separate_construction(self, family, sign, kappa):
+        built = {
+            constructors.HEISENBERG_GENERIC: lambda: constructors.construct_generic_reducible(
+                kappa, -2.0 / kappa, sign
+            ),
+            constructors.HEISENBERG_SKEW: lambda: constructors.construct_skew_heisenberg(kappa),
+            constructors.HYPERBOLIC: lambda: constructors.construct_hyperbolic_skew(
+                kappa, -6.0 / kappa
+            ),
+            constructors.BOUNDARY: lambda: constructors.boundary_vanishing_torsion(kappa),
+        }[family]()
+        *fields, model, contorsion = separate_construction(family, kappa, sign)
+        assert [built.family, built.alpha, built.gamma, built.h, built.scalar,
+                built.model_parameter] == fields
+        sc = built.scenario
+        np.testing.assert_array_equal(sc.model.c, model.c)
+        np.testing.assert_array_equal(sc.contorsion.a, contorsion.a)
+        np.testing.assert_array_equal(sc.h, fields[3])
+        np.testing.assert_array_equal(sc.kappa, kappa)
+        np.testing.assert_array_equal(sc.phi, np.zeros(3))

@@ -29,13 +29,16 @@ def skew_heisenberg_scenario(kappa=1.0):
 
 class TestValidation:
     def test_rejects_beta(self):
+        sc = residuals.SolitonScenario(
+            model=geometry.heisenberg(1.0),
+            contorsion=torsion.build_reducible(
+                torsion.ReducibleTorsionParams(alpha=0.5, beta=0.1, gamma=0.0, xi=AXIS)
+            ),
+            h=1.0,
+            kappa=1.0,
+        )
         with pytest.raises(ScenarioValidationError, match="beta"):
-            residuals.SolitonScenario.from_params(
-                geometry.heisenberg(1.0),
-                torsion.ReducibleTorsionParams(alpha=0.5, beta=0.1, gamma=0.0, xi=AXIS),
-                h=1.0,
-                kappa=1.0,
-            )
+            residuals.validate_scenario(sc)
 
     def test_rejects_skew_component_matrix(self):
         sc = residuals.SolitonScenario(
