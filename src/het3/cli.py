@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -315,8 +316,12 @@ def cmd_construct(args) -> int:
     # full precision: json writes each float as its shortest round-trip repr
     payload = json.dumps(scenario_to_doc(built), indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-            f.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as f:
+                f.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     else:
         sys.stdout.write(payload)
     name = "lambda" if built.family.startswith("heisenberg") else "a"
@@ -389,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tol", type=float, default=None,
                    help="residual tolerance (default 1e-9, env HET3_TOL)")
     c.add_argument("--json", action="store_true", help="emit the full JSON report")
-    c.set_defaults(func=cmd_check)
 
     b = sub.add_parser("construct", help="build an exact soliton scenario")
     b.add_argument("family", choices=list(constructors.FAMILIES))
@@ -399,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--sign", type=int, choices=[1, -1], default=1,
                    help="root sign for the generic reducible family")
     b.add_argument("-o", "--output", default=None, help="scenario file to write")
-    b.set_defaults(func=cmd_construct)
 
     s = sub.add_parser("sweep", help="sample the hyperbolic scalar-curvature window")
     s.add_argument("--kappa", type=float, required=True)
@@ -408,22 +411,27 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--s-max", type=float, default=None)
     s.add_argument("--tol", type=float, default=None)
     s.add_argument("--csv", default=None, help="CSV output path (default stdout)")
-    s.set_defaults(func=cmd_sweep)
 
     k = sub.add_parser("classify", help="Ricci eigenvalue classification of a scenario")
     k.add_argument("path")
-    k.set_defaults(func=cmd_classify)
 
     for parser in (p, *sub.choices.values()):
         parser._negative_number_matcher = _NEGATIVE_NUMBER
     return p
 
 
+# argparse set-up costs ~1 ms, more than any step of `check` but curv_compose
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # by name at call time, so a handler replaced after the first call is seen
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (ScenarioFileError, Het3Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -55,11 +55,6 @@ class StructureConstants:
             c[j, i, k] -= v
         return cls(c)
 
-    def bracket(self, x, y) -> np.ndarray:
-        return np.einsum(
-            "...i,...j,...ijk->...k", np.asarray(x, float), np.asarray(y, float), self.c
-        )
-
     def ad_trace(self) -> np.ndarray:
         """Trace of ad: the unimodularity obstruction, tr(ad_{e_i}) per i."""
         return np.einsum("...ijj->...i", self.c)
@@ -91,18 +86,21 @@ def jacobi_defect(sc: StructureConstants) -> np.ndarray:
     c = sc.c
     # [[e_i,e_j],e_k] contributes c_{ijm} c_{mkl}
     t = np.einsum("...ijm,...mkl->...ijkl", c, c)
-    cyc = t + np.einsum("...jkil->...ijkl", t) + np.einsum("...kijl->...ijkl", t)
+    # opposite overflows give inf - inf = NaN, which validate rejects
+    with np.errstate(invalid="ignore"):
+        cyc = t + np.einsum("...jkil->...ijkl", t) + np.einsum("...kijl->...ijkl", t)
     return np.abs(cyc).max(axis=(-4, -3, -2, -1))
 
 
 def validate(sc: StructureConstants) -> None:
     """Raise unless every model's c is antisymmetric in (i, j) and satisfies
-    Jacobi up to STRUCT_TOL; the message gives the worst deviation."""
+    Jacobi up to STRUCT_TOL; the message gives the worst deviation.  A NaN
+    deviation fails too."""
     anti = np.abs(sc.c + sc.c.swapaxes(-3, -2)).max()
-    if anti > STRUCT_TOL:
+    if not anti <= STRUCT_TOL:
         raise AntisymmetryViolation(f"c_ijk + c_jik deviates by {anti:g}")
     defect = jacobi_defect(sc).max()
-    if defect > STRUCT_TOL:
+    if not defect <= STRUCT_TOL:
         raise JacobiViolation(f"Jacobi identity violated by {defect:g}")
 
 

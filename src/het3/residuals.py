@@ -152,16 +152,6 @@ def delta_phi(sc: SolitonScenario) -> np.ndarray:
     return -grad_phi(sc).trace(axis1=-2, axis2=-1)
 
 
-def ric_gH(model: geometry.StructureConstants, h) -> np.ndarray:
-    """Symmetric part of Ric^{g,H} for H = h vol with frame-constant h.
-
-    H o_g H = h^2 g in 3D and the delta H term drops, leaving
-    Ric^g - (h^2/2) g.
-    """
-    data = geometry.curvature(model, geometry.levi_civita(model))
-    return data.ricci - _per_grid(0.5 * h * h) * np.eye(3)
-
-
 def einstein_residual(sc: SolitonScenario) -> np.ndarray:
     """Full (possibly non-symmetric) grid of the first soliton equation."""
     r_d = sc.curvature_D

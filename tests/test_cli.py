@@ -139,6 +139,16 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_nan_jacobi_defect_exit_two(self, tmp_path, capsys, command):
+        # opposite overflows in the Jacobi sum give inf - inf = NaN
+        doc = dict(SKEW_HEISENBERG_DOC)
+        doc["structure_constants"] = [[2, 3, 1, 1e200], [1, 3, 2, -1e200], [1, 2, 3, 1e200]]
+        path = write_doc(tmp_path, doc)
+        assert cli.main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Jacobi" in captured.err
+
     @pytest.mark.parametrize("command", ["check", "sweep"])
     @pytest.mark.parametrize(
         "flag, env",
@@ -232,6 +242,12 @@ class TestConstruct:
         assert cli.main(argv) == 0
         assert cli.main(["check", out]) == 0
 
+    def test_unwritable_output_exit_two(self, tmp_path, capsys):
+        out = str(tmp_path / "no_such_dir" / "sc.json")
+        assert cli.main(["construct", "boundary", "--kappa", "1", "-o", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}")
+
     def test_missing_scalar(self):
         assert cli.main(["construct", "hyperbolic", "--kappa", "1"]) == 2
 
@@ -312,6 +328,59 @@ class TestClassify:
 
     def test_bad_file(self, tmp_path):
         assert cli.main(["classify", str(tmp_path / "nope.json")]) == 2
+
+
+class TestParserOnce:
+    """main builds the parser on its first call and reuses it after."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        calls, build = [], cli.build_parser
+
+        def counting_build_parser():
+            calls.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        try:
+            for _ in range(3):
+                assert cli.main(["sweep", "--kappa", "1", "--points", "2"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_tolerance_does_not_stick(self, tmp_path):
+        doc = dict(SKEW_HEISENBERG_DOC)
+        doc["h"] = 1.0001  # tiny miss
+        path = write_doc(tmp_path, doc)
+        assert cli.main(["check", path, "--tol", "1"]) == 0
+        assert cli.main(["check", path]) == 1
+
+    def test_window_does_not_stick(self, capsys):
+        base = ["sweep", "--kappa", "1", "--points", "4"]
+        assert cli.main(base) == 0
+        default = capsys.readouterr().out
+        assert cli.main(base + ["--s-min=-3e-05", "--s-max=-1e-05"]) == 0
+        assert capsys.readouterr().out != default
+        assert cli.main(base) == 0
+        assert capsys.readouterr().out == default
+
+    def test_valid_call_after_parse_error(self, tmp_path, capsys):
+        path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+        for bad in (["check"], ["sweep", "--kappa", "1", "--points", "two"], ["nope"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(bad)
+            assert exc.value.code == 2
+            assert cli.main(["check", path, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["verdict"] == "SOLUTION"
+
+    def test_handler_replaced_after_first_call(self, tmp_path, monkeypatch):
+        path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+        assert cli.main(["check", path]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.path) or 7)
+        assert cli.main(["check", path]) == 7
+        assert seen == [path]
 
 
 @pytest.mark.parametrize(

