@@ -187,7 +187,7 @@ def parse_scenario(doc: dict) -> residuals.SolitonScenario:
         model=model, contorsion=contorsion, h=h, kappa=kappa, phi=phi
     )
     try:
-        residuals.validate_scenario(sc)
+        sc.validate()
     except Het3Error as exc:
         raise ScenarioFileError(str(exc)) from exc
     return sc

@@ -16,11 +16,22 @@ Families:
 Each constructor checks its arguments, derives the family's parameters and
 returns through one tail, which checks that every derived value is finite
 (h = sqrt(-2 s) overflows at s = -1e308) before it builds any array.
+
+The constructors take arrays: kappa and s_g may carry a batch axis, the
+parameters are derived elementwise (np.sqrt and + - * / round as math.sqrt
+and float arithmetic do, so every sample is bit for bit its own single
+construction), and the tail builds one batched SolitonScenario.  A single
+construction is the batch shape () case, with float parameters.  A check
+that fails names the first failing sample.
+
+The hyperbolic window -24 < kappa s_g < 0 is one predicate, ``in_window``:
+``construct_hyperbolic_skew`` raises OutOfWindow on any sample outside it,
+and a sweep uses it to mark OUT_OF_WINDOW rows and to pass only the
+in-window samples of each SWEEP_BLOCK to one constructor call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,118 +58,169 @@ FAMILIES = (HEISENBERG_GENERIC, HEISENBERG_SKEW, HYPERBOLIC, BOUNDARY)
 
 @dataclass(frozen=True)
 class ConstructedSoliton:
-    """A scenario plus the derived parameters of its family."""
+    """A scenario plus the derived parameters of its family.
+
+    For a batch every parameter is an array of the batch shape; for a single
+    construction each is a float.
+    """
 
     scenario: residuals.SolitonScenario
     family: str
-    alpha: float
-    gamma: float
-    h: float
-    scalar: float
-    model_parameter: float  # lambda for Heisenberg, a for hyperbolic
+    alpha: float | np.ndarray
+    gamma: float | np.ndarray
+    h: float | np.ndarray
+    scalar: float | np.ndarray
+    model_parameter: float | np.ndarray  # lambda for Heisenberg, a for hyperbolic
 
 
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ScenarioValidationError(f"{name} = {value:g} must be finite")
+def _first(values, bad) -> float:
+    """The first of ``values``, broadcast to the mask ``bad``, where it is set."""
+    return float(np.broadcast_to(values, np.shape(bad))[bad][0])
 
 
-def _require_kappa(kappa: float) -> None:
+def _require_finite(**values) -> np.ndarray:
+    """The values broadcast into one grid, a row per name, once every one is
+    finite.  Otherwise raise on the first non-finite value: in the first
+    sample that has one, the first name in argument order."""
+    grid = np.empty((len(values),) + np.broadcast(*values.values()).shape)
+    for n, value in enumerate(values.values()):
+        grid[n] = value
+    finite = np.isfinite(grid)
+    if not finite.all():
+        bad = ~finite.reshape(len(values), -1)
+        sample = bad.any(axis=0).argmax()
+        name = bad[:, sample].argmax()
+        value = grid.reshape(len(values), -1)[name, sample]
+        raise ScenarioValidationError(f"{list(values)[name]} = {value:g} must be finite")
+    return grid
+
+
+def _require_kappa(kappa) -> None:
     _require_finite(kappa=kappa)
-    if not kappa > 0:
-        raise NonPositiveKappa(f"kappa = {kappa:g} must be positive")
+    positive = np.greater(kappa, 0)
+    if not positive.all():
+        raise NonPositiveKappa(f"kappa = {_first(kappa, ~positive):g} must be positive")
 
 
 def _constructed(
-    family: str, model, model_parameter: float, *,
-    alpha: float, gamma: float, h: float, scalar: float, kappa: float,
+    family: str, model, model_parameter, *, alpha, gamma, h, scalar, kappa,
 ) -> ConstructedSoliton:
     """The one exit of every constructor: check the derived values, then build.
 
     ``model`` maps ``model_parameter`` to the structure constants; the
-    contorsion is A = alpha g + gamma xi (x) xi along AXIS.
+    contorsion is A = alpha g + gamma xi (x) xi along AXIS.  The values
+    broadcast to one batch shape, and the scenario is one batch of it; for
+    batch shape () they are floats.
     """
-    _require_finite(alpha=alpha, gamma=gamma, h=h, s_g=scalar, model_parameter=model_parameter)
-    if gamma == 0.0:
+    grid = _require_finite(alpha=alpha, gamma=gamma, h=h, s_g=scalar,
+                           model_parameter=model_parameter, kappa=kappa)
+    shape = grid.shape[1:]
+    alpha, gamma, h, scalar, model_parameter, kappa = grid if shape else grid.tolist()
+    if not np.count_nonzero(gamma):
         contorsion = torsion.skew(alpha)
     else:
         contorsion = torsion.build_reducible(
             torsion.ReducibleTorsionParams(alpha=alpha, beta=0.0, gamma=gamma, xi=AXIS)
         )
     sc = residuals.SolitonScenario(
-        model=model(model_parameter), contorsion=contorsion, h=h, kappa=kappa
+        model=model(model_parameter), contorsion=contorsion, h=h, kappa=kappa,
+        phi=np.zeros(shape + (3,)),
     )
     return ConstructedSoliton(sc, family, alpha, gamma, h, scalar, model_parameter)
 
 
-def construct_generic_reducible(
-    kappa: float, scalar: float, sign: int = +1
-) -> ConstructedSoliton:
+def construct_generic_reducible(kappa, scalar, sign: int = +1) -> ConstructedSoliton:
     """Heisenberg soliton with generic reducible torsion at the given s_g.
 
     alpha = sqrt(-s/2), lambda = 2 alpha, h = sqrt(-2 s), and
     gamma = sign/sqrt(kappa) - 2 alpha from kappa (2 alpha + gamma)^2 = 1.
+    kappa and s_g may be arrays; sign is one root for the whole batch.
     """
     _require_kappa(kappa)
     _require_finite(s_g=scalar)
-    if not scalar < 0:
-        raise NonNegativeScalar(f"s_g = {scalar:g} must be negative")
+    negative = np.less(scalar, 0)
+    if not negative.all():
+        raise NonNegativeScalar(f"s_g = {_first(scalar, ~negative):g} must be negative")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    alpha = math.sqrt(-0.5 * scalar)
-    gamma = sign / math.sqrt(kappa) - 2.0 * alpha
-    if abs(gamma) < 1e-12:
+    scalar = np.asarray(scalar, dtype=float)
+    with np.errstate(over="ignore"):  # an overflow to inf fails the tail's check
+        alpha = np.sqrt(-0.5 * scalar)
+        gamma = sign / np.sqrt(kappa) - 2.0 * alpha
+        h = np.sqrt(-2.0 * scalar)
+    if (np.abs(gamma) < 1e-12).any():
         raise DegeneratesToSkew(
             "gamma = 0: these parameters give purely skew torsion, "
             "use the skew Heisenberg constructor"
         )
-    h = math.sqrt(-2.0 * scalar)
     return _constructed(HEISENBERG_GENERIC, geometry.heisenberg, 2.0 * alpha,
                         alpha=alpha, gamma=gamma, h=h, scalar=scalar, kappa=kappa)
 
 
-def construct_skew_heisenberg(kappa: float) -> ConstructedSoliton:
-    """The unique skew-torsion Heisenberg soliton: 4 kappa alpha^2 = 1."""
+def construct_skew_heisenberg(kappa) -> ConstructedSoliton:
+    """The unique skew-torsion Heisenberg soliton: 4 kappa alpha^2 = 1.
+    kappa may be an array."""
     _require_kappa(kappa)
-    alpha = 0.5 / math.sqrt(kappa)
-    h = 1.0 / math.sqrt(kappa)
-    scalar = -2.0 * alpha * alpha  # = -1/(2 kappa)
+    with np.errstate(over="ignore"):
+        alpha = 0.5 / np.sqrt(kappa)
+        h = 1.0 / np.sqrt(kappa)
+        scalar = -2.0 * alpha * alpha  # = -1/(2 kappa)
     return _constructed(HEISENBERG_SKEW, geometry.heisenberg, 2.0 * alpha,
                         alpha=alpha, gamma=0.0, h=h, scalar=scalar, kappa=kappa)
+
+
+# The admissible open interval of kappa * s_g for hyperbolic skew solitons.
+WINDOW = (-24.0, 0.0)
+
+
+def in_window(kappa_scalar) -> np.ndarray:
+    """The window predicate: kappa * s_g in the open interval WINDOW, per sample."""
+    return (WINDOW[0] < kappa_scalar) & (kappa_scalar < WINDOW[1])
+
+
+def _kappa_scalar(kappa, scalar) -> np.ndarray:
+    with np.errstate(over="ignore"):  # an overflow to -inf lies outside the window
+        return np.multiply(kappa, scalar)
 
 
 def scalar_window(kappa: float) -> tuple[float, float]:
     """Admissible open interval for s_g of hyperbolic skew solitons."""
     _require_kappa(kappa)
-    return (-24.0 / kappa, 0.0)
+    return (WINDOW[0] / kappa, WINDOW[1])
 
 
-def construct_hyperbolic_skew(kappa: float, scalar: float) -> ConstructedSoliton:
+def construct_hyperbolic_skew(kappa, scalar) -> ConstructedSoliton:
     """Hyperbolic skew-torsion soliton for kappa * s_g in (-24, 0).
 
     a = sqrt(-s/6), h = sqrt(-2s), and alpha > 0 solves
     kappa (h^2 + 12 alpha^2)^2 = 48 h^2 on the positive square-root branch.
+    kappa and s_g may be arrays; every sample must lie in the window.
     """
     _require_kappa(kappa)
-    ks = kappa * scalar
-    if not (-24.0 < ks < 0.0):
-        raise OutOfWindow(ks, (-24.0, 0.0))
-    a = math.sqrt(-scalar / 6.0)
-    h2 = -2.0 * scalar
-    alpha_sq = (math.sqrt(48.0 * h2 / kappa) - h2) / 12.0
-    # strictly positive inside the open window
-    alpha = math.sqrt(alpha_sq)
+    kappa_scalar = _kappa_scalar(kappa, scalar)
+    inside = in_window(kappa_scalar)
+    if not inside.all():
+        raise OutOfWindow(_first(kappa_scalar, ~inside), WINDOW)
+    scalar = np.asarray(scalar, dtype=float)
+    with np.errstate(over="ignore"):
+        a = np.sqrt(-scalar / 6.0)
+        h2 = -2.0 * scalar
+        alpha_sq = (np.sqrt(48.0 * h2 / kappa) - h2) / 12.0
+        # strictly positive inside the open window
+        alpha = np.sqrt(alpha_sq)
+        h = np.sqrt(h2)
     return _constructed(HYPERBOLIC, geometry.hyperbolic_model, a,
-                        alpha=alpha, gamma=0.0, h=math.sqrt(h2), scalar=scalar, kappa=kappa)
+                        alpha=alpha, gamma=0.0, h=h, scalar=scalar, kappa=kappa)
 
 
-def boundary_vanishing_torsion(kappa: float) -> ConstructedSoliton:
-    """The alpha = 0 boundary soliton: hyperbolic with kappa s_g = -24."""
+def boundary_vanishing_torsion(kappa) -> ConstructedSoliton:
+    """The alpha = 0 boundary soliton: hyperbolic with kappa s_g = -24.
+    kappa may be an array."""
     _require_kappa(kappa)
-    scalar = -24.0 / kappa
-    a = math.sqrt(4.0 / kappa)
-    h = math.sqrt(48.0 / kappa)
+    with np.errstate(over="ignore"):
+        scalar = -24.0 / np.asarray(kappa, dtype=float)
+        a = np.sqrt(4.0 / kappa)
+        h = np.sqrt(48.0 / kappa)
     return _constructed(BOUNDARY, geometry.hyperbolic_model, a,
                         alpha=0.0, gamma=0.0, h=h, scalar=scalar, kappa=kappa)
 
@@ -218,39 +280,35 @@ SWEEP_BLOCK = 1024
 def _sweep_rows(kappa: float, scalars, tol: float) -> list[SweepRow]:
     """Rows for samples of s_g at one kappa.
 
-    Per block of SWEEP_BLOCK samples, each in-window sample is built on its
-    own, then they are stacked into one batch scenario for one full_report.
+    Per block of SWEEP_BLOCK samples, the window predicate marks the
+    out-of-window ones, and one constructor call builds the in-window ones
+    as one batch scenario for one full_report.  The caller checks kappa.
     """
+    scalars = np.asarray(scalars, dtype=float)
+    kappa_scalars = _kappa_scalar(kappa, scalars)
+    inside = in_window(kappa_scalars)
+    s_list, ks_list = scalars.tolist(), kappa_scalars.tolist()
     rows: list = []
-    for start in range(0, len(scalars), SWEEP_BLOCK):
-        block = []  # (row index, constructed soliton) per in-window sample
-        for scalar in scalars[start : start + SWEEP_BLOCK]:
-            try:
-                built = construct_hyperbolic_skew(kappa, scalar)
-            except OutOfWindow:
-                rows.append(SweepRow(scalar, kappa * scalar, None, None, None, "OUT_OF_WINDOW"))
-                continue
-            block.append((len(rows), built))
-            rows.append(None)
-        if not block:
-            continue
-        batch = residuals.SolitonScenario.stack([built.scenario for _, built in block])
-        report = residuals.full_report(batch, tol=tol)
-        worst = report.worst
-        for n, (index, built) in enumerate(block):
-            rows[index] = SweepRow(
-                scalar=built.scalar,
-                kappa_scalar=kappa * built.scalar,
-                alpha=built.alpha,
-                h=built.h,
-                residual_norm=float(worst[n]),
-                verdict=str(report.verdict[n]),
-            )
+    for start in range(0, len(s_list), SWEEP_BLOCK):
+        stop = min(start + SWEEP_BLOCK, len(s_list))
+        index = start + np.flatnonzero(inside[start:stop])
+        solved = {}  # row index -> (alpha, h, residual norm, verdict)
+        if index.size:
+            built = construct_hyperbolic_skew(kappa, scalars[index])
+            report = residuals.full_report(built.scenario, tol=tol)
+            solved = dict(zip(index.tolist(), zip(
+                built.alpha.tolist(), built.h.tolist(),
+                report.worst.tolist(), report.verdict.tolist(),
+            )))
+        for i in range(start, stop):
+            fields = solved.get(i, (None, None, None, "OUT_OF_WINDOW"))
+            rows.append(SweepRow(s_list[i], ks_list[i], *fields))
     return rows
 
 
 def sweep_row(kappa: float, scalar: float, tol: float = residuals.DEFAULT_TOL) -> SweepRow:
     """Evaluate a single hyperbolic-skew sample, marking out-of-window values."""
+    _require_kappa(kappa)
     return _sweep_rows(kappa, [scalar], tol)[0]
 
 
@@ -268,10 +326,10 @@ def sweep_window(
     if s_min is None and s_max is None:
         # strictly interior grid of the open window
         step = (high - low) / (n_points + 1)
-        samples = [low + (i + 1) * step for i in range(n_points)]
+        samples = low + np.arange(1, n_points + 1) * step
     else:
         lo = low if s_min is None else s_min
         hi = high if s_max is None else s_max
         _require_finite(s_min=lo, s_max=hi)
-        samples = list(np.linspace(lo, hi, n_points))
+        samples = np.linspace(lo, hi, n_points)
     return _sweep_rows(kappa, samples, tol)

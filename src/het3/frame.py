@@ -12,9 +12,10 @@ Inner products on Lambda^k use the determinant convention, under which the
 basis (*e1, *e2, *e3) is orthonormal and the dual-component dot product is
 the 2-form inner product.
 
-Sign convention for the interior product: (v . w)(u) = w(v, u), which in dual
-components reads interior(v, w) = cross(w.dual, v).  This is the adjoint of
-the wedge product: <u ^ v, w> = <v, u . w>.
+The wedge of two vectors has the cross product as its dual components.  Sign
+convention for the interior product: (v . w)(u) = w(v, u), which in dual
+components reads v . w = cross(w_dual, v).  This is the adjoint of the wedge
+product: <u ^ v, w> = <v, u . w>.
 
 Vectors, grids and curvature operators may carry leading batch axes: a
 vector has shape (..., 3) and a grid (..., 3, 3).  A single object is batch
@@ -52,6 +53,11 @@ def as_grid(m) -> np.ndarray:
     return a
 
 
+def _per_grid(x) -> np.ndarray:
+    """A per-sample scalar, shaped to broadcast against (..., 3, 3) grids."""
+    return np.asarray(x)[..., None, None]
+
+
 def dot(u, v) -> np.ndarray:
     """Dot product over the last axis, batched over the leading ones.
 
@@ -59,23 +65,6 @@ def dot(u, v) -> np.ndarray:
     vectors (a plain ``(u * v).sum(-1)`` can differ in the last bit).
     """
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
-
-
-@dataclass(frozen=True)
-class Form2:
-    """A 2-form, stored by its dual components in the basis (*e1, *e2, *e3)."""
-
-    dual: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dual", as_vec(self.dual))
-
-    def __call__(self, x, y) -> float:
-        """Evaluate the 2-form on a pair of vectors."""
-        return float(self.dual @ np.cross(as_vec(x), as_vec(y)))
-
-    def norm_sq(self) -> float:
-        return float(self.dual @ self.dual)
 
 
 @dataclass(frozen=True)
@@ -92,20 +81,6 @@ class CurvatureOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", as_grid(self.entries))
-
-    def first_factor(self, x, y) -> Form2:
-        """The 2-form R_{X,Y}: evaluation of X, Y in the first factor."""
-        return Form2(np.cross(as_vec(x), as_vec(y)) @ self.entries)
-
-
-def wedge(u, v) -> Form2:
-    """Wedge product of two vectors; dual components are the cross product."""
-    return Form2(np.cross(as_vec(u), as_vec(v)))
-
-
-def interior(v, w: Form2) -> np.ndarray:
-    """Interior product (v . w)(u) = w(v, u); adjoint of wedge by v."""
-    return np.cross(w.dual, as_vec(v))
 
 
 def curv_compose(r1: CurvatureOperator, r2: CurvatureOperator) -> np.ndarray:

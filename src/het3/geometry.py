@@ -48,12 +48,16 @@ class StructureConstants:
 
     @classmethod
     def from_entries(cls, entries) -> "StructureConstants":
-        """Build from sparse (i, j, k, value) entries with 0-based i < j."""
-        c = np.zeros((3, 3, 3))
+        """Build from sparse (i, j, k, value) entries with 0-based i < j.
+
+        A value may be an array: the values broadcast to the batch shape.
+        """
+        shape = np.broadcast(*[v for *_, v in entries]).shape
+        rows = np.zeros((27,) + shape)  # rows[9 i + 3 j + k] is c[..., i, j, k]
         for i, j, k, v in entries:
-            c[i, j, k] += v
-            c[j, i, k] -= v
-        return cls(c)
+            rows[9 * i + 3 * j + k] += v
+            rows[9 * j + 3 * i + k] -= v
+        return cls(np.ascontiguousarray(rows.reshape(27, -1).T).reshape(shape + (3, 3, 3)))
 
     def ad_trace(self) -> np.ndarray:
         """Trace of ad: the unimodularity obstruction, tr(ad_{e_i}) per i."""
@@ -64,17 +68,18 @@ def abelian() -> StructureConstants:
     return StructureConstants(np.zeros((3, 3, 3)))
 
 
-def heisenberg(lam: float) -> StructureConstants:
-    """Nilpotent model [e1, e2] = lam * e3."""
+def heisenberg(lam) -> StructureConstants:
+    """Nilpotent model [e1, e2] = lam * e3; an array of lam gives a batch."""
     return StructureConstants.from_entries([(0, 1, 2, lam)])
 
 
-def hyperbolic_model(a: float) -> StructureConstants:
-    """Solvable model [e1, e2] = a e2, [e1, e3] = a e3; curvature -a^2."""
+def hyperbolic_model(a) -> StructureConstants:
+    """Solvable model [e1, e2] = a e2, [e1, e3] = a e3; curvature -a^2.
+    An array of a gives a batch."""
     return StructureConstants.from_entries([(0, 1, 1, a), (0, 2, 2, a)])
 
 
-def milnor(l1: float, l2: float, l3: float) -> StructureConstants:
+def milnor(l1, l2, l3) -> StructureConstants:
     """Unimodular normal form [e2,e3] = l1 e1, [e3,e1] = l2 e2, [e1,e2] = l3 e3."""
     return StructureConstants.from_entries(
         [(1, 2, 0, l1), (2, 0, 1, l2), (0, 1, 2, l3)]
@@ -112,12 +117,10 @@ def levi_civita(sc: StructureConstants) -> np.ndarray:
 
 def curvature_endo(sc: StructureConstants, gamma: np.ndarray) -> np.ndarray:
     """Endomorphism components R[i,j,k,l] = <R_{e_i,e_j} e_k, e_l>."""
-    r = (
-        np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
-        - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
-        - np.einsum("...ijm,...mkl->...ijkl", sc.c, gamma)
-    )
-    return r
+    # sum_m gamma_jkm gamma_iml; the second quadratic term, sum_m gamma_ikm
+    # gamma_jml, is the same grid with i and j swapped
+    t = np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+    return t - np.swapaxes(t, -4, -3) - np.einsum("...ijm,...mkl->...ijkl", sc.c, gamma)
 
 
 def operator_from_endo(rendo: np.ndarray) -> CurvatureOperator:

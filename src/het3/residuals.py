@@ -21,7 +21,8 @@ every residual and norm then has the shape and the value it has for that
 scenario alone.  ``SolitonScenario.stack`` joins single scenarios into one
 batch, so that one ``full_report`` evaluates them all.
 
-Each scenario derives its geometry once: ``SolitonScenario.connection``
+Each scenario is validated once, through ``SolitonScenario.validate``, and
+derives its geometry once: ``SolitonScenario.connection``
 (the torsion connection D, whose ``.base`` holds the Levi-Civita
 coefficients), ``curvature_g`` (Riemann, Ricci and scalar curvature of g)
 and ``curvature_D`` (the curvature R^D) are cached on first use, and every
@@ -48,6 +49,7 @@ from .frame import (
     _Q,
     EPS,
     CurvatureOperator,
+    _per_grid,
     as_vec,
     curv_compose,
     curv_norm_sq,
@@ -57,11 +59,6 @@ from .frame import (
 
 DEFAULT_TOL = 1e-9
 VALIDATE_TOL = 1e-10  # skew part of the contorsion and d phi in validate_scenario
-
-
-def _per_grid(x) -> np.ndarray:
-    """A per-sample scalar, shaped to broadcast against (..., 3, 3) grids."""
-    return np.asarray(x)[..., None, None]
 
 
 def _norm(x: np.ndarray, core: int) -> np.ndarray:
@@ -84,6 +81,16 @@ class SolitonScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", as_vec(self.phi))
+
+    def validate(self) -> None:
+        """Run ``validate_scenario`` once per scenario object.
+
+        A pass is remembered, in the instance dict as the cached geometry
+        below is; a failure is not, and raises again on every call.
+        """
+        if "_validated" not in self.__dict__:
+            validate_scenario(self)
+            self.__dict__["_validated"] = True
 
     @cached_property
     def connection(self) -> torsion.TorsionConnection:
@@ -288,7 +295,7 @@ def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport
     The remark identity is reported only when every sample has skew
     torsion; otherwise it is None.
     """
-    validate_scenario(sc)
+    sc.validate()
     ein = einstein_residual(sc)
     ein_t = np.swapaxes(ein, -1, -2)
     ein_sym = 0.5 * (ein + ein_t)

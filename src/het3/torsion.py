@@ -28,7 +28,7 @@ import numpy as np
 
 from . import geometry
 from .errors import NonUnitAxis
-from .frame import _P, _Q, CurvatureOperator, as_grid, as_vec, star_matrix
+from .frame import _P, _Q, CurvatureOperator, _per_grid, as_grid, as_vec, star_matrix
 
 UNIT_TOL = 1e-9
 SKEW_TOL = 1e-10  # Theta and zeta of a purely skew torsion A = alpha g
@@ -68,24 +68,16 @@ class Contorsion:
         )
 
 
-def decompose(a) -> tuple[float, np.ndarray, np.ndarray]:
-    """Split a 3x3 grid into (Tr(A)/3, Theta, zeta); exact reconstruction."""
-    ct = Contorsion(as_grid(a))
-    return ct.trace_part, ct.traceless_sym, ct.skew_vector
-
-
-def reconstruct(alpha_prime: float, theta, zeta) -> np.ndarray:
-    """Inverse of decompose: A = alpha' g + Theta + *zeta."""
-    return alpha_prime * np.eye(3) + np.asarray(theta, float) + star_matrix(zeta)
-
-
 @dataclass(frozen=True)
 class ReducibleTorsionParams:
-    """Normal-form parameters (alpha, beta, gamma) along a unit axis xi."""
+    """Normal-form parameters (alpha, beta, gamma) along a unit axis xi.
 
-    alpha: float
-    beta: float
-    gamma: float
+    alpha, beta and gamma may be arrays of a batch; xi is one axis for all.
+    """
+
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    gamma: float | np.ndarray
     xi: np.ndarray
 
     def __post_init__(self):
@@ -98,16 +90,16 @@ def build_reducible(params: ReducibleTorsionParams) -> Contorsion:
     """A = alpha g + beta *xi + gamma xi (x) xi."""
     xi = params.xi
     a = (
-        params.alpha * np.eye(3)
-        + params.beta * star_matrix(xi)
-        + params.gamma * np.outer(xi, xi)
+        _per_grid(params.alpha) * np.eye(3)
+        + _per_grid(params.beta) * star_matrix(xi)
+        + _per_grid(params.gamma) * np.outer(xi, xi)
     )
     return Contorsion(a)
 
 
-def skew(alpha: float) -> Contorsion:
-    """Purely skew-symmetric torsion: A = alpha g."""
-    return Contorsion(alpha * np.eye(3))
+def skew(alpha) -> Contorsion:
+    """Purely skew-symmetric torsion: A = alpha g; an array of alpha gives a batch."""
+    return Contorsion(_per_grid(alpha) * np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -161,12 +153,6 @@ def covariant_derivative(gamma: np.ndarray, tensor) -> np.ndarray:
         contr = contr.reshape(batch + (3,) + ts.shape[lead:])
         out -= np.moveaxis(contr, lead + 1, lead + slot + 1)
     return out
-
-
-def torsion_tensor(conn: TorsionConnection) -> np.ndarray:
-    """T[i,j,k] = <bbA_{e_i} e_j - bbA_{e_j} e_i, e_k>."""
-    d = conn.total - conn.base
-    return d - np.swapaxes(d, -3, -2)
 
 
 def curvature_D(

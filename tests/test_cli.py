@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from het3 import cli
+from het3 import cli, residuals
 
 SKEW_HEISENBERG_DOC = {
     "structure_constants": [[1, 2, 3, 1.0]],
@@ -96,6 +96,21 @@ class TestCheck:
             "einstein", "einstein_skew", "yang_mills", "dilaton", "maxwell",
         }
         assert doc["tolerance"] == 1e-9
+
+    def test_validates_once(self, tmp_path, monkeypatch, capsys):
+        # parse_scenario validates, and full_report reuses that pass
+        calls = []
+        validate = residuals.validate_scenario
+
+        def counted(sc):
+            calls.append(sc)
+            return validate(sc)
+
+        monkeypatch.setattr(residuals, "validate_scenario", counted)
+        path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+        assert cli.main(["check", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "SOLUTION"
+        assert len(calls) == 1
 
     def test_tolerance_flag_and_env(self, tmp_path, monkeypatch):
         doc = dict(SKEW_HEISENBERG_DOC)

@@ -1,6 +1,7 @@
 """Solution families, the scalar-curvature window, classification, sweeps."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from het3.errors import (
     NonNegativeScalar,
     NonPositiveKappa,
     OutOfWindow,
+    ScenarioValidationError,
 )
 
 
@@ -321,3 +323,108 @@ class TestOneTail:
         np.testing.assert_array_equal(sc.h, fields[3])
         np.testing.assert_array_equal(sc.kappa, kappa)
         np.testing.assert_array_equal(sc.phi, np.zeros(3))
+
+
+# one kappa per decade of [1e-8, 1e8]
+DECADE_KAPPAS = np.array([3.7 * 10.0**d for d in range(-8, 8)])
+
+
+class TestBatchConstruction:
+    """A single construction is the N=1 case of the batched one."""
+
+    @pytest.mark.parametrize(
+        "family, sign",
+        [(constructors.HEISENBERG_GENERIC, +1), (constructors.HEISENBERG_GENERIC, -1),
+         (constructors.HEISENBERG_SKEW, +1), (constructors.HYPERBOLIC, +1),
+         (constructors.BOUNDARY, +1)],
+    )
+    def test_batch_matches_each_sample(self, family, sign):
+        kappas = DECADE_KAPPAS
+        # kappa s_g across (-24, 0), away from the degenerate generic root -1/2
+        scalars = np.linspace(-23.0, -0.7, len(kappas)) / kappas
+        build = {
+            constructors.HEISENBERG_GENERIC: lambda k, s: constructors.construct_generic_reducible(
+                k, s, sign
+            ),
+            constructors.HEISENBERG_SKEW: lambda k, s: constructors.construct_skew_heisenberg(k),
+            constructors.HYPERBOLIC: constructors.construct_hyperbolic_skew,
+            constructors.BOUNDARY: lambda k, s: constructors.boundary_vanishing_torsion(k),
+        }[family]
+        batch = build(kappas, scalars)
+        assert batch.family == family
+        report = residuals.full_report(batch.scenario)
+        for n, (kappa, scalar) in enumerate(zip(kappas.tolist(), scalars.tolist())):
+            single = build(kappa, scalar)
+            for name in ("alpha", "gamma", "h", "scalar", "model_parameter"):
+                value = getattr(single, name)
+                assert type(value) is float
+                np.testing.assert_array_equal(getattr(batch, name)[n], value)
+            sc, one = batch.scenario, single.scenario
+            assert (type(one.h), type(one.kappa)) == (float, float)
+            np.testing.assert_array_equal(sc.model.c[n], one.model.c)
+            np.testing.assert_array_equal(sc.contorsion.a[n], one.contorsion.a)
+            np.testing.assert_array_equal(sc.h[n], one.h)
+            np.testing.assert_array_equal(sc.kappa[n], one.kappa)
+            np.testing.assert_array_equal(sc.phi[n], one.phi)
+            single_report = residuals.full_report(one)
+            assert report.worst[n] == max(single_report.norms.values())
+            assert report.verdict[n] == single_report.verdict
+
+    def test_one_construction_per_sweep(self, monkeypatch):
+        calls = Counter()
+        for module, name in [(constructors, "construct_hyperbolic_skew"),
+                             (geometry, "hyperbolic_model")]:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        rows = constructors.sweep_window(1.0, 16)
+        assert len(rows) == 16
+        assert calls == {"construct_hyperbolic_skew": 1, "hyperbolic_model": 1}
+
+    @pytest.mark.parametrize("block", [constructors.SWEEP_BLOCK, 7, 3])
+    def test_mixed_block_keeps_row_order(self, monkeypatch, block):
+        # out-of-window samples at both ends and, with small blocks, blocks
+        # that hold none, some or all in-window samples
+        monkeypatch.setattr(constructors, "SWEEP_BLOCK", block)
+        kappa = 2.5
+        samples = np.linspace(-30.0 / kappa, 2.0 / kappa, 40)
+        rows = constructors.sweep_window(kappa, 40, s_min=samples[0], s_max=samples[-1])
+        assert [row.scalar for row in rows] == samples.tolist()
+        inside = (-24.0 < kappa * samples) & (kappa * samples < 0.0)
+        assert [row.verdict != "OUT_OF_WINDOW" for row in rows] == inside.tolist()
+        assert 0 < inside.sum() < len(samples)
+        for row, scalar in zip(rows, samples.tolist()):
+            assert row == constructors.sweep_row(kappa, scalar)
+
+    def test_window_predicate(self):
+        ks = np.array([-24.0, -23.999, -1.0, 0.0, 1.0, -np.inf, np.nan])
+        np.testing.assert_array_equal(
+            constructors.in_window(ks), [False, True, True, False, False, False, False]
+        )
+
+    def test_array_with_out_of_window_sample_raises(self):
+        scalars = np.array([-6.0, -12.0, -25.0, -30.0, -1.0])
+        with pytest.raises(OutOfWindow) as exc:
+            constructors.construct_hyperbolic_skew(1.0, scalars)
+        assert exc.value.kappa_s == -25.0  # the first sample outside the window
+        # the in-window samples alone construct
+        built = constructors.construct_hyperbolic_skew(1.0, scalars[[0, 1, 4]])
+        assert built.alpha.shape == (3,)
+
+    def test_array_errors_name_first_bad_sample(self):
+        with pytest.raises(NonPositiveKappa, match="kappa = -2 must"):
+            constructors.construct_skew_heisenberg(np.array([1.0, -2.0, -3.0]))
+        with pytest.raises(NonNegativeScalar, match="s_g = 0 must"):
+            constructors.construct_generic_reducible(1.0, np.array([-1.0, 0.0, 1.0]))
+        with pytest.raises(DegeneratesToSkew):
+            constructors.construct_generic_reducible(1.0, np.array([-2.0, -0.5]))
+        with pytest.raises(ScenarioValidationError, match=r"^s_g = -inf must be finite$"):
+            constructors.construct_skew_heisenberg(np.array([1.0, 1e-320, 1e-300]))
+        # the first sample with a non-finite value, and its first such name,
+        # as a construction one sample at a time would report it
+        with pytest.raises(ScenarioValidationError, match=r"^h = inf must be finite$"):
+            constructors._require_finite(
+                alpha=np.array([1.0, 1.0, np.inf]), h=np.array([1.0, np.inf, 1.0])
+            )

@@ -13,71 +13,97 @@ vec3 = arrays(np.float64, (3,), elements=finite)
 grid3 = arrays(np.float64, (3, 3), elements=finite)
 
 
+# The exterior algebra of 2-forms, as local helpers on frame.EPS: a 2-form
+# is its dual vector w in the basis (*e1, *e2, *e3).
+
+
+def wedge(u, v) -> np.ndarray:
+    """Dual components of u ^ v: eps_{ijk} u_i v_j, the cross product."""
+    return np.einsum("ijk,i,j->k", frame.EPS, np.asarray(u, float), np.asarray(v, float))
+
+
+def evaluate(w, x, y) -> float:
+    """The 2-form with dual components w on the pair (x, y)."""
+    return float(np.asarray(w, float) @ wedge(x, y))
+
+
+def interior(v, w) -> np.ndarray:
+    """(v . w)(u) = w(v, u): component j is eps_{ijk} v_i w_k."""
+    return np.einsum("ijk,i,k->j", frame.EPS, np.asarray(v, float), np.asarray(w, float))
+
+
+def norm_sq(w) -> float:
+    """|w|^2 in the determinant convention: half the sum of w(e_i, e_j)^2."""
+    grid = np.einsum("ijk,k->ij", frame.EPS, np.asarray(w, float))
+    return 0.5 * float(np.sum(grid * grid))
+
+
+def first_factor(k, x, y) -> np.ndarray:
+    """Dual components of R_{X,Y}: the first factor of the grid k on (x, y)."""
+    return wedge(x, y) @ k
+
+
 class TestHodgeStar:
-    """A 2-form is stored as the dual vector: Form2(v) is *v."""
+    """A 2-form is stored as the dual vector: the vector v is *v."""
 
     def test_orientation_pin(self):
         # *e1 = e2 ^ e3
-        w = frame.Form2([1.0, 0.0, 0.0])
+        w = np.array([1.0, 0.0, 0.0])
         e = np.eye(3)
-        assert w(e[1], e[2]) == 1.0
-        np.testing.assert_array_equal(w.dual, frame.wedge([0, 1, 0], [0, 0, 1]).dual)
+        assert evaluate(w, e[1], e[2]) == 1.0
+        np.testing.assert_array_equal(w, wedge([0, 1, 0], [0, 0, 1]))
 
     def test_zero(self):
-        assert frame.Form2(np.zeros(3)).norm_sq() == 0.0
+        assert norm_sq(np.zeros(3)) == 0.0
 
     @given(vec3)
     def test_involution_and_isometry(self, v):
-        w = frame.Form2(v)
-        np.testing.assert_array_equal(w.dual, v)
-        assert w.norm_sq() == pytest.approx(float(v @ v))
+        # the skew grid w(e_i, e_j) gives back the dual vector exactly
+        grid = np.array([[evaluate(v, x, y) for y in np.eye(3)] for x in np.eye(3)])
+        np.testing.assert_array_equal(0.5 * np.einsum("ijk,ij->k", frame.EPS, grid), v)
+        assert norm_sq(v) == pytest.approx(float(v @ v))
 
 
 class TestWedge:
     def test_frame_pair(self):
-        np.testing.assert_array_equal(
-            frame.wedge([1, 0, 0], [0, 1, 0]).dual, [0.0, 0.0, 1.0]
-        )
+        np.testing.assert_array_equal(wedge([1, 0, 0], [0, 1, 0]), [0.0, 0.0, 1.0])
 
     def test_cross_product_oracle(self):
-        np.testing.assert_array_equal(
-            frame.wedge([1, 0, 0], [0, 2, 0]).dual, [0.0, 0.0, 2.0]
-        )
+        np.testing.assert_array_equal(wedge([1, 0, 0], [0, 2, 0]), [0.0, 0.0, 2.0])
+        u, v = np.array([0.3, -1.2, 2.0]), np.array([1.5, 0.25, -0.7])
+        np.testing.assert_allclose(wedge(u, v), np.cross(u, v), rtol=0, atol=1e-15)
 
     @given(vec3, vec3)
     def test_alternating(self, u, v):
-        uv = frame.wedge(u, v).dual
-        vu = frame.wedge(v, u).dual
+        uv = wedge(u, v)
+        vu = wedge(v, u)
         np.testing.assert_allclose(uv, -vu, atol=1e-12)
-        np.testing.assert_allclose(frame.wedge(u, u).dual, 0.0, atol=1e-12)
+        np.testing.assert_allclose(wedge(u, u), 0.0, atol=1e-12)
 
     @given(vec3, vec3, finite)
     def test_bilinear(self, u, v, t):
-        np.testing.assert_allclose(
-            frame.wedge(t * u, v).dual, t * frame.wedge(u, v).dual, atol=1e-9
-        )
+        np.testing.assert_allclose(wedge(t * u, v), t * wedge(u, v), atol=1e-9)
 
 
 class TestInterior:
     def test_frame_examples(self):
         e = np.eye(3)
-        w = frame.wedge(e[0], e[1])
-        np.testing.assert_allclose(frame.interior(e[0], w), e[1])
-        np.testing.assert_allclose(frame.interior(e[2], w), 0.0)
-        np.testing.assert_allclose(frame.interior(e[0], frame.Form2([0, 0, 0])), 0.0)
+        w = wedge(e[0], e[1])
+        np.testing.assert_allclose(interior(e[0], w), e[1])
+        np.testing.assert_allclose(interior(e[2], w), 0.0)
+        np.testing.assert_allclose(interior(e[0], [0, 0, 0]), 0.0)
 
     @given(vec3, vec3)
     def test_evaluation_contract(self, v, u):
         # (v . w)(u) = w(v, u)
-        w = frame.Form2(np.array([1.0, -2.0, 0.5]))
-        assert float(frame.interior(v, w) @ u) == pytest.approx(w(v, u), abs=1e-9)
+        w = np.array([1.0, -2.0, 0.5])
+        assert float(interior(v, w) @ u) == pytest.approx(evaluate(w, v, u), abs=1e-9)
 
     @given(vec3, vec3, vec3)
-    def test_adjoint_of_wedge(self, u, v, w_dual):
+    def test_adjoint_of_wedge(self, u, v, w):
         # <u ^ v, w> = <v, u . w>
-        w = frame.Form2(w_dual)
-        lhs = float(frame.wedge(u, v).dual @ w.dual)
-        rhs = float(v @ frame.interior(u, w))
+        lhs = float(wedge(u, v) @ w)
+        rhs = float(v @ interior(u, w))
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -142,18 +168,16 @@ class TestCurvatureContractions:
 
 def test_first_factor_matches_entries():
     k = np.arange(9.0).reshape(3, 3)
-    r = frame.CurvatureOperator(k)
     # evaluating on (e1, e2) picks out the *e3 row
-    np.testing.assert_array_equal(r.first_factor([1, 0, 0], [0, 1, 0]).dual, k[2])
+    np.testing.assert_array_equal(first_factor(k, [1, 0, 0], [0, 1, 0]), k[2])
 
 
 def test_star_matrix_pairing():
     z = np.array([0.3, -1.2, 2.0])
     m = frame.star_matrix(z)
     np.testing.assert_allclose(m, -m.T, atol=1e-15)
-    # (*zeta)(e_i, e_j) agrees with the Form2 evaluation
-    w = frame.Form2(z)
+    # (*zeta)(e_i, e_j) agrees with the 2-form evaluation
     eye = np.eye(3)
     for i in range(3):
         for j in range(3):
-            assert m[i, j] == pytest.approx(w(eye[i], eye[j]), abs=1e-14)
+            assert m[i, j] == pytest.approx(evaluate(z, eye[i], eye[j]), abs=1e-14)

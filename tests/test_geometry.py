@@ -211,6 +211,33 @@ class TestMatchesPairLoops:
             np.testing.assert_array_equal(geometry.curvature_via_ricci(ric, s).entries, want)
 
 
+@pytest.mark.parametrize("shape", [(), (16,), (3, 4), (1024,)])
+def test_curvature_endo_matches_three_einsums(rng, shape):
+    # reference: both quadratic terms contracted on their own, bit for bit
+    for _ in range(25):
+        c = rng.normal(size=shape + (3, 3, 3))
+        gamma = rng.normal(size=shape + (3, 3, 3))
+        want = (
+            np.einsum("...jkm,...iml->...ijkl", gamma, gamma)
+            - np.einsum("...ikm,...jml->...ijkl", gamma, gamma)
+            - np.einsum("...ijm,...mkl->...ijkl", c, gamma)
+        )
+        got = geometry.curvature_endo(geometry.StructureConstants(c), gamma)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_batched_models_match_single_models(rng):
+    values = rng.normal(size=(3, 5))
+    for batch, single in [
+        (geometry.heisenberg(values[0]), lambda n: geometry.heisenberg(values[0, n])),
+        (geometry.hyperbolic_model(values[1]), lambda n: geometry.hyperbolic_model(values[1, n])),
+        (geometry.milnor(*values), lambda n: geometry.milnor(*values[:, n])),
+    ]:
+        assert batch.c.shape == (5, 3, 3, 3)
+        for n in range(5):
+            np.testing.assert_array_equal(batch.c[n], single(n).c)
+
+
 def test_from_entries_and_bracket():
     model = geometry.milnor(1.0, -2.0, 0.5)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from het3 import constructors, geometry, residuals, torsion
+from het3 import constructors, frame, geometry, residuals, torsion
 from het3.errors import (
     NonPositiveKappa,
     NotSkewTorsion,
@@ -15,6 +15,12 @@ from het3.errors import (
 )
 
 AXIS = np.array([0.0, 0.0, 1.0])
+
+
+def first_factor(r, x, y) -> np.ndarray:
+    """Dual components of the 2-form R_{X,Y}: (x ^ y)_a = eps_{ija} x_i y_j
+    paired with the first factor of the grid."""
+    return np.einsum("ija,i,j->a", frame.EPS, x, y) @ r.entries
 
 
 def skew_heisenberg_scenario(kappa=1.0):
@@ -28,6 +34,28 @@ def skew_heisenberg_scenario(kappa=1.0):
 
 
 class TestValidation:
+    def test_validated_once_per_object(self, monkeypatch):
+        calls = []
+        validate = residuals.validate_scenario
+        monkeypatch.setattr(
+            residuals, "validate_scenario", lambda sc: calls.append(sc) or validate(sc)
+        )
+        sc = skew_heisenberg_scenario()
+        sc.validate()
+        residuals.full_report(sc)
+        residuals.full_report(sc)
+        assert calls == [sc]
+
+    def test_failure_raises_on_every_call(self):
+        sc = residuals.SolitonScenario(
+            model=geometry.heisenberg(1.0), contorsion=torsion.skew(0.5), h=1.0, kappa=-1.0
+        )
+        for _ in range(2):
+            with pytest.raises(NonPositiveKappa):
+                residuals.full_report(sc)
+        with pytest.raises(NonPositiveKappa):
+            sc.validate()
+
     def test_rejects_beta(self):
         sc = residuals.SolitonScenario(
             model=geometry.heisenberg(1.0),
@@ -172,7 +200,7 @@ class TestYangMills:
             for x in range(3):
                 div = -np.einsum("iikl->kl", dr[:, :, x])
                 out[x] = [div[1, 2], div[2, 0], div[0, 1]]
-                out[x] += r_d.first_factor(sc.phi, eye[x]).dual
+                out[x] += first_factor(r_d, sc.phi, eye[x])
             return out
 
         def skew_rows(sc, alpha):
@@ -184,7 +212,7 @@ class TestYangMills:
                 for j in range(3):
                     out[x] += np.cross(eye[j], dric[j, x])
                 out[x] += 3.0 * alpha * (ric0 @ eye[x])
-                out[x] += data.riemann.first_factor(sc.phi, eye[x]).dual
+                out[x] += first_factor(data.riemann, sc.phi, eye[x])
                 out[x] += alpha * alpha * np.cross(sc.phi, eye[x])
             return out
 
