@@ -30,6 +30,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -49,26 +50,74 @@ class ScenarioFileError(Exception):
     tolerance (exit code 2)."""
 
 
+def _float_token(x: float) -> str:
+    """x rounded to 12 significant digits (zero unsigned), written as
+    json.dumps writes a float."""
+    if not math.isfinite(x):
+        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+    if x == 0:
+        return "0.0"
+    return float.__repr__(float("%.12g" % x))
+
+
 def fmt(x: float) -> float:
     """Round a float to 12 significant digits for deterministic output."""
-    if x == 0:
-        return 0.0
-    return float(f"{x:.12g}")
+    return float(_float_token(x))
 
 
-def _fmt_tree(obj):
+def _emit(obj, indent: str, out: list) -> None:
+    """Append ``obj`` as json.dumps(..., indent=2) writes it at depth
+    ``indent``, with every float rounded as ``fmt`` rounds it."""
     if isinstance(obj, float):
-        return fmt(obj)
-    if isinstance(obj, dict):
-        return {k: _fmt_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_fmt_tree(v) for v in obj]
-    return obj
+        out.append(_float_token(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        head = "[\n" + inner
+        for item in obj:
+            if isinstance(item, float):  # a grid row: no recursion per entry
+                out.append(head + _float_token(item))
+            else:
+                out.append(head)
+                _emit(item, inner, out)
+            head = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        head = "{\n" + inner
+        for key, value in obj.items():
+            out.append(head + _json_str(key) + ": ")
+            _emit(value, inner, out)
+            head = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def dump_json(doc) -> str:
-    """A report document with every float rounded by ``fmt``."""
-    return json.dumps(_fmt_tree(doc), indent=2) + "\n"
+    """A report document with every float rounded by ``fmt``, written in one
+    walk: the bytes that ``json.dumps`` with ``indent=2`` writes for the
+    document with its floats rounded, without its pure-Python indenting
+    encoder (CPython's C encoder does not indent)."""
+    out: list = []
+    _emit(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def default_tolerance() -> float:

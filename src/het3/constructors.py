@@ -202,11 +202,13 @@ def construct_hyperbolic_skew(kappa, scalar) -> ConstructedSoliton:
     if not inside.all():
         raise OutOfWindow(_first(kappa_scalar, ~inside), WINDOW)
     scalar = np.asarray(scalar, dtype=float)
-    with np.errstate(over="ignore"):
+    # strictly positive inside the open window, unless 48 h^2 / kappa
+    # underflows (kappa = 1e200, s = -1e-200): then alpha_sq < 0, and the NaN
+    # alpha fails the tail's check
+    with np.errstate(over="ignore", invalid="ignore"):
         a = np.sqrt(-scalar / 6.0)
         h2 = -2.0 * scalar
         alpha_sq = (np.sqrt(48.0 * h2 / kappa) - h2) / 12.0
-        # strictly positive inside the open window
         alpha = np.sqrt(alpha_sq)
         h = np.sqrt(h2)
     return _constructed(HYPERBOLIC, geometry.hyperbolic_model, a,

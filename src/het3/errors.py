@@ -33,6 +33,10 @@ class NonPositiveKappa(ScenarioValidationError):
     """The coupling constant kappa must be strictly positive."""
 
 
+class NonFiniteResidual(Het3Error):
+    """A residual of a valid scenario overflows the float range."""
+
+
 class NonNegativeScalar(Het3Error):
     """Constructor requires a strictly negative scalar curvature."""
 

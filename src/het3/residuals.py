@@ -22,17 +22,36 @@ scenario alone.  ``SolitonScenario.stack`` joins single scenarios into one
 batch, so that one ``full_report`` evaluates them all.
 
 Each scenario is validated once, through ``SolitonScenario.validate``, and
-derives its geometry once: ``SolitonScenario.connection``
+derives every shared term once: ``SolitonScenario.connection``
 (the torsion connection D, whose ``.base`` holds the Levi-Civita
-coefficients), ``curvature_g`` (Riemann, Ricci and scalar curvature of g)
-and ``curvature_D`` (the curvature R^D) are cached on first use, and every
-residual below reads them from there.  Every reader shares the cached
-objects, so neither they nor the scenario's arrays may be changed in place.
+coefficients), ``curvature_g`` (Riemann, Ricci and scalar curvature of g),
+``curvature_D`` (the curvature R^D), ``nabla_phi`` (nabla^g phi),
+``delta_phi`` (delta^g phi) and ``phi_sq`` (|phi|^2) are cached on first
+use, and every residual below reads them from there.  Every reader shares
+the cached objects, so neither they nor the scenario's arrays may be
+changed in place.  A report computes the two identities only when they are
+read: a sweep never reads them.
 
 Sign convention for the divergence: (d*_D R)(X) = -(D_{e_i} R)_{e_i, X},
 which reproduces the skew-torsion specialization
 d^{nabla} Ric(X) + 3 alpha * Ric_0(X) componentwise (the sign of the
 alpha-odd term goes with the fixed 2-form action convention).
+
+The divergence is evaluated in the dual basis, without expanding R^D to
+its rank-4 components: with K = R^D.entries, Gamma the coefficients of D,
+v_m = Gamma_iim, B_xa = Gamma_ixm eps_ima and
+M_icb = Gamma_{i P_c m} eps_{m Q_c b} + Gamma_{i Q_c m} eps_{P_c m b}
+(at the cyclic pairs (P_c, Q_c) of frame._P, frame._Q), the Yang-Mills
+residual is
+
+    Y = (*v + B + *phi) K + eps_ixa K_ab M_icb.
+
+Every factor of eps is +-1 or 0, so Y sums the products of the
+expand-and-trace evaluation in another order only.
+
+A residual that overflows the float range fails the report with
+NonFiniteResidual, naming the first equation that is not finite, instead of
+turning into a verdict.
 """
 
 from __future__ import annotations
@@ -43,7 +62,12 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry, torsion
-from .errors import NonPositiveKappa, NotSkewTorsion, ScenarioValidationError
+from .errors import (
+    NonFiniteResidual,
+    NonPositiveKappa,
+    NotSkewTorsion,
+    ScenarioValidationError,
+)
 from .frame import (
     _P,
     _Q,
@@ -59,6 +83,22 @@ from .frame import (
 
 DEFAULT_TOL = 1e-9
 VALIDATE_TOL = 1e-10  # skew part of the contorsion and d phi in validate_scenario
+
+# An overflow shows as inf or NaN in a residual, which the report rejects.
+_OVERFLOW_QUIET = dict(over="ignore", invalid="ignore")
+
+# The Yang-Mills terms linear in Gamma, as constant maps on its flat
+# indices: (*v + B)_xa = sum_ijm Gamma_ijm _YM_LINEAR[ijm, xa] and
+# M_icb = sum_jm Gamma_ijm _YM_M[jm, bc].
+_YM_LINEAR = (
+    np.einsum("jx,ima->ijmxa", np.eye(3), EPS) + np.einsum("ij,xam->ijmxa", np.eye(3), EPS)
+).reshape(27, 9)
+_YM_M = (
+    np.einsum("cj,mcb->jmbc", np.eye(3)[_P], EPS[:, _Q, :])
+    + np.einsum("cj,cmb->jmbc", np.eye(3)[_Q], EPS[_P])
+).reshape(9, 9)
+# eps_ixa as [(x, i), a]: _YM_EPS @ K is eps_ixa K_ab as [(x, i), b]
+_YM_EPS = np.ascontiguousarray(np.swapaxes(EPS, 0, 1).reshape(9, 3))
 
 
 def _norm(x: np.ndarray, core: int) -> np.ndarray:
@@ -107,6 +147,21 @@ class SolitonScenario:
         """R^D, the curvature of the torsion connection."""
         return torsion.curvature_D(self.model, self.connection)
 
+    @cached_property
+    def nabla_phi(self) -> np.ndarray:
+        """nabla^g phi, the grid of ``grad_phi``."""
+        return grad_phi(self)
+
+    @cached_property
+    def delta_phi(self) -> np.ndarray:
+        """Codifferential delta^g phi = -trace(nabla^g phi)."""
+        return -self.nabla_phi.trace(axis1=-2, axis2=-1)
+
+    @cached_property
+    def phi_sq(self) -> np.ndarray:
+        """|phi|^2, per sample."""
+        return dot(self.phi, self.phi)
+
     @classmethod
     def stack(cls, scenarios) -> "SolitonScenario":
         """Join single scenarios into one batch of shape (len(scenarios),)."""
@@ -150,13 +205,11 @@ def validate_scenario(sc: SolitonScenario) -> None:
 
 
 def grad_phi(sc: SolitonScenario) -> np.ndarray:
-    """(nabla^g phi)[i, j] = -phi(nabla_{e_i} e_j) for frame-constant phi."""
+    """(nabla^g phi)[i, j] = -phi(nabla_{e_i} e_j) for frame-constant phi.
+
+    Residuals read it once per scenario, as ``sc.nabla_phi``.
+    """
     return -np.einsum("...ijm,...m->...ij", sc.connection.base, sc.phi)
-
-
-def delta_phi(sc: SolitonScenario) -> np.ndarray:
-    """Codifferential delta^g phi = -trace(nabla phi)."""
-    return -grad_phi(sc).trace(axis1=-2, axis2=-1)
 
 
 def einstein_residual(sc: SolitonScenario) -> np.ndarray:
@@ -164,7 +217,7 @@ def einstein_residual(sc: SolitonScenario) -> np.ndarray:
     r_d = sc.curvature_D
     return (
         sc.curvature_g.ricci
-        + grad_phi(sc)
+        + sc.nabla_phi
         - _per_grid(0.5 * sc.h * sc.h) * np.eye(3)
         + _per_grid(sc.kappa) * curv_compose(r_d, r_d)
     )
@@ -172,15 +225,21 @@ def einstein_residual(sc: SolitonScenario) -> np.ndarray:
 
 def yang_mills_residual(sc: SolitonScenario) -> np.ndarray:
     """General divergence path: rows are the dual components of the 2-form
-    (d*_D R^D + phi . R^D)(e_x)."""
-    r_d = sc.curvature_D
-    rform = geometry.endo_from_operator(r_d)
-    dr = torsion.covariant_derivative(sc.connection.total, rform)
-    # divergence -(sum_i (D_{e_i} R)[e_i, e_x, p, q]) read at the cyclic pairs
-    # (p, q), plus the phi contraction R_{phi, e_x}: row x of (*phi) R^D
+    (d*_D R^D + phi . R^D)(e_x).
+
+    Y = (*v + B + *phi) K + eps_ixa K_ab M_icb, in the dual basis (see the
+    module docstring): the divergence -(sum_i (D_{e_i} R)[e_i, e_x]) read at
+    the cyclic pairs, plus the phi contraction R_{phi, e_x}.
+    """
+    k = sc.curvature_D.entries
+    gamma = sc.connection.total
+    lead = gamma.shape[:-3]
+    linear = gamma.reshape(lead + (1, 27)) @ _YM_LINEAR
+    m = gamma.reshape(lead + (3, 9)) @ _YM_M  # M_icb as [i, (b, c)]
+    eps_k = _YM_EPS @ k  # eps_ixa K_ab as [(x, i), b]
     return (
-        -np.einsum("...iixpq->...xpq", dr)[..., :, _P, _Q]
-        + star_matrix(sc.phi) @ r_d.entries
+        (linear.reshape(lead + (3, 3)) + star_matrix(sc.phi)) @ k
+        + eps_k.reshape(lead + (3, 9)) @ m.reshape(lead + (9, 3))
     )
 
 
@@ -210,8 +269,8 @@ def yang_mills_skew_path(sc: SolitonScenario) -> np.ndarray:
 
 def dilaton_residual(sc: SolitonScenario) -> np.ndarray:
     return (
-        delta_phi(sc)
-        + dot(sc.phi, sc.phi)
+        sc.delta_phi
+        + sc.phi_sq
         - sc.h * sc.h
         + sc.kappa * curv_norm_sq(sc.curvature_D)
     )
@@ -226,8 +285,8 @@ def trace_identity_residual(sc: SolitonScenario) -> np.ndarray:
     """Residual of s = 3 delta phi + 2 |phi|^2 - h^2/2 (kappa-independent)."""
     return (
         sc.curvature_g.scalar
-        - 3.0 * delta_phi(sc)
-        - 2.0 * dot(sc.phi, sc.phi)
+        - 3.0 * sc.delta_phi
+        - 2.0 * sc.phi_sq
         + 0.5 * sc.h * sc.h
     )
 
@@ -248,15 +307,24 @@ def remark_identity_residual(sc: SolitonScenario) -> np.ndarray:
     s = data.scalar
     return (
         2.0 * sc.kappa * (ric0 * ric0).sum(axis=(-2, -1))
-        + 2.0 * dot(sc.phi, sc.phi)
+        + 2.0 * sc.phi_sq
         - 2.0 * sc.h * sc.h
         + (sc.kappa / 6.0) * (s - 6.0 * alpha * alpha) ** 2
-        + 2.0 * delta_phi(sc)
+        + 2.0 * sc.delta_phi
     )
 
 
 def _worst(norms: dict) -> np.ndarray:
     return np.maximum.reduce(list(norms.values()))
+
+
+def _finite(name: str, value: np.ndarray) -> np.ndarray:
+    """``value``, once every entry is finite; otherwise NonFiniteResidual."""
+    if not np.isfinite(value).all():
+        raise NonFiniteResidual(
+            f"the {name} residual is not finite: the scenario overflows the float range"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -265,16 +333,16 @@ class ResidualReport:
 
     For a batch every field but ``tolerance`` carries the batch axes, and
     ``verdict`` is an array of strings; for a single scenario the norms are
-    numpy floats and the verdict a string.
+    numpy floats and the verdict a string.  The two identities are computed
+    on first read, from ``scenario``.
     """
 
+    scenario: SolitonScenario = field(repr=False)
     einstein_sym: np.ndarray
     einstein_skew: np.ndarray
     yang_mills: np.ndarray
     dilaton: np.ndarray
     maxwell: np.ndarray
-    trace_identity: np.ndarray
-    remark_identity: np.ndarray | None
     norms: dict
     tolerance: float
     verdict: str | np.ndarray
@@ -288,43 +356,58 @@ class ResidualReport:
     def is_solution(self) -> bool | np.ndarray:
         return self.verdict == "SOLUTION"
 
+    @cached_property
+    def trace_identity(self) -> np.ndarray:
+        """``trace_identity_residual`` of the scenario."""
+        with np.errstate(**_OVERFLOW_QUIET):
+            return _finite("trace identity", trace_identity_residual(self.scenario))
+
+    @cached_property
+    def remark_identity(self) -> np.ndarray | None:
+        """``remark_identity_residual`` when every sample has skew torsion,
+        otherwise None."""
+        try:
+            with np.errstate(**_OVERFLOW_QUIET):
+                return _finite("remark identity", remark_identity_residual(self.scenario))
+        except NotSkewTorsion:
+            return None
+
 
 def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Evaluate every equation of the system and aggregate a verdict.
 
-    The remark identity is reported only when every sample has skew
-    torsion; otherwise it is None.
+    Raises NonFiniteResidual, naming the first equation in the order of
+    ``norms``, when a residual or its norm overflows.
     """
     sc.validate()
-    ein = einstein_residual(sc)
-    ein_t = np.swapaxes(ein, -1, -2)
-    ein_sym = 0.5 * (ein + ein_t)
-    ein_skew = 0.5 * (ein - ein_t)
-    ym = yang_mills_residual(sc)
-    dil = dilaton_residual(sc)
-    mx = maxwell_residual(sc)
-    tr_id = trace_identity_residual(sc)
-    try:
-        rem = remark_identity_residual(sc)
-    except NotSkewTorsion:
-        rem = None
-    norms = {
-        "einstein": _norm(ein_sym, 2),
-        "einstein_skew": _norm(ein_skew, 2),
-        "yang_mills": _norm(ym, 2),
-        "dilaton": np.abs(dil),
-        "maxwell": _norm(mx, 1),
-    }
+    with np.errstate(**_OVERFLOW_QUIET):
+        ein = einstein_residual(sc)
+        ein_t = np.swapaxes(ein, -1, -2)
+        ein_sym = 0.5 * (ein + ein_t)
+        ein_skew = 0.5 * (ein - ein_t)
+        ym = yang_mills_residual(sc)
+        dil = dilaton_residual(sc)
+        mx = maxwell_residual(sc)
+        norms = {
+            "einstein": _norm(ein_sym, 2),
+            "einstein_skew": _norm(ein_skew, 2),
+            "yang_mills": _norm(ym, 2),
+            "dilaton": np.abs(dil),
+            "maxwell": _norm(mx, 1),
+        }
+    worst = _worst(norms)
+    if not np.isfinite(worst).all():
+        for name, norm in norms.items():
+            _finite(name, norm)
     # [()] turns the 0-d array of a single scenario into a string
-    verdict = np.where(_worst(norms) <= tol, "SOLUTION", "NOT_SOLUTION")[()]
+    verdict = np.where(worst <= tol, "SOLUTION", "NOT_SOLUTION")[()]
     return ResidualReport(
+        scenario=sc,
         einstein_sym=ein_sym,
         einstein_skew=ein_skew,
         yang_mills=ym,
         dilaton=dil,
         maxwell=mx,
-        trace_identity=tr_id,
-        remark_identity=rem,
         norms=norms,
         tolerance=tol,
         verdict=verdict,

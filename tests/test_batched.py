@@ -99,7 +99,8 @@ def kernels(sc):
         "trace_part": sc.contorsion.trace_part,
         "skew_vector": sc.contorsion.skew_vector,
         "grad_phi": residuals.grad_phi(sc),
-        "delta_phi": residuals.delta_phi(sc),
+        "delta_phi": sc.delta_phi,
+        "phi_sq": sc.phi_sq,
         "einstein": residuals.einstein_residual(sc),
         "yang_mills": residuals.yang_mills_residual(sc),
         "dilaton": residuals.dilaton_residual(sc),
@@ -200,8 +201,14 @@ class TestSweepBatch:
 
     @pytest.mark.parametrize("n_points", [16, 1000])
     def test_one_report_per_sweep(self, monkeypatch, n_points):
+        # the CSV prints no identity, so the sweep computes none
         calls = Counter()
-        for module, name in [(residuals, "full_report"), (geometry, "curvature")]:
+        for module, name in [
+            (residuals, "full_report"),
+            (geometry, "curvature"),
+            (residuals, "trace_identity_residual"),
+            (residuals, "remark_identity_residual"),
+        ]:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)

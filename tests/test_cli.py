@@ -1,10 +1,13 @@
 """CLI surface: scenario files, subcommands, exit codes, determinism."""
 
+import argparse
 import json
+import math
 
+import numpy as np
 import pytest
 
-from het3 import cli, residuals
+from het3 import cli, constructors, residuals
 
 SKEW_HEISENBERG_DOC = {
     "structure_constants": [[1, 2, 3, 1.0]],
@@ -13,6 +16,23 @@ SKEW_HEISENBERG_DOC = {
     "phi": [0.0, 0.0, 0.0],
     "kappa": 1.0,
 }
+
+
+def reference_fmt(x):
+    """12 significant digits, zero unsigned: what cli.fmt returns."""
+    return 0.0 if x == 0 else float(f"{x:.12g}")
+
+
+def fmt_tree(obj):
+    """Reference rounding for dump_json: a copy of the tree with every float
+    rounded, for json.dumps(..., indent=2)."""
+    if isinstance(obj, float):
+        return reference_fmt(obj)
+    if isinstance(obj, dict):
+        return {k: fmt_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [fmt_tree(v) for v in obj]
+    return obj
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -96,6 +116,8 @@ class TestCheck:
             "einstein", "einstein_skew", "yang_mills", "dilaton", "maxwell",
         }
         assert doc["tolerance"] == 1e-9
+        assert doc["residuals"]["trace_identity"] == pytest.approx(0.0, abs=1e-12)
+        assert doc["residuals"]["remark_identity"] == pytest.approx(0.0, abs=1e-12)
 
     def test_validates_once(self, tmp_path, monkeypatch, capsys):
         # parse_scenario validates, and full_report reuses that pass
@@ -180,6 +202,22 @@ class TestCheck:
         assert cli.main(argv + flag) == 2
         captured = capsys.readouterr()
         assert "tolerance" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("flag", [["--json"], []], ids=["json", "text"])
+    def test_overflow_exit_two(self, tmp_path, capsys, flag):
+        # finite inputs whose curvature quadratic overflows: an error naming
+        # the first non-finite equation, not a NOT_SOLUTION verdict
+        doc = {
+            "structure_constants": [[1, 2, 2, 1e100], [1, 3, 3, 1e100]],
+            "contorsion": {"alpha": 1e100, "beta": 0.0, "gamma": 0.0, "xi": [0.0, 0.0, 1.0]},
+            "h": 1e100,
+            "kappa": 1e100,
+        }
+        assert cli.main(["check", write_doc(tmp_path, doc)] + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the einstein residual is not finite")
+        assert captured.err.count("\n") == 1
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
@@ -413,11 +451,15 @@ class TestParserOnce:
         ["construct", "hyperbolic", "--kappa", "1e-300", "--scalar=-1e301"],
         ["construct", "boundary", "--kappa", "1e-320"],
         ["sweep", "--kappa", "1e-300", "--points", "2"],
+        # 48 h^2 / kappa underflows, so alpha^2 < 0
+        ["construct", "hyperbolic", "--kappa", "1e200", "--scalar=-1e-200"],
+        ["sweep", "--kappa", "1e200", "--points", "2"],
     ],
     ids=["skew_kappa_inf", "boundary_kappa_inf", "generic_scalar_minus_inf",
          "sweep_kappa_inf", "sweep_s_min_nan", "sweep_s_max_inf",
          "generic_h_overflow", "skew_scalar_overflow", "hyperbolic_alpha_overflow",
-         "boundary_overflow", "sweep_alpha_overflow"],
+         "boundary_overflow", "sweep_alpha_overflow",
+         "hyperbolic_alpha_underflow", "sweep_alpha_underflow"],
 )
 def test_non_finite_argument_exit_two(capsys, argv):
     # a RuntimeWarning on the way is an error under the pytest settings
@@ -430,3 +472,66 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+class TestDumpJson:
+    """dump_json writes the bytes of json.dumps(fmt_tree(doc), indent=2)."""
+
+    CORPUS = [
+        {},
+        [],
+        {"a": [], "b": {}, "c": [[]], "d": [{}]},
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-320, 5e-324, 1.7976931348623157e308],
+        {"x": None, "t": True, "f": False, "n": 0, "big": 10**30, "neg": -7},
+        {"verdict": np.str_("SOLUTION"), "kind": np.str_("HEISENBERG_TYPE")},
+        {"norms": {"einstein": np.float64(1.2345678901234567e-17), "dilaton": np.float64(-0.0)}},
+        {"grid": [[1.0, 2.5, -3.0], [1e12, 1e15, 1e16], [1e-4, 1e-5, 123456789012.345]]},
+        {"nested": [[[1.0, [2.0, []]], {"k": [3.0, None]}], (4.0, 5.0)]},
+        {"text": "tab\there \"quoted\" \\ \u00e9\u4e2d\U0001f600 \x00\x1f", "\u00e9": "key"},
+    ]
+
+    @pytest.mark.parametrize("doc", CORPUS, ids=range(len(CORPUS)))
+    def test_corpus(self, doc):
+        assert cli.dump_json(doc) == json.dumps(fmt_tree(doc), indent=2) + "\n"
+
+    def test_random_documents(self):
+        rng = np.random.default_rng(8)
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, None, True, False, "", "s\u00e9"]
+
+        def leaf():
+            if rng.random() < 0.2:
+                return specials[rng.integers(len(specials))]
+            if rng.random() < 0.2:
+                return int(rng.integers(-1000, 1000))
+            return float(rng.normal() * 10.0 ** rng.integers(-30, 30))
+
+        def tree(depth):
+            kind = rng.integers(3) if depth < 4 else 0
+            if kind == 0:
+                return leaf()
+            n = int(rng.integers(0, 4))
+            if kind == 1:
+                return [tree(depth + 1) for _ in range(n)]
+            return {f"k{i}": tree(depth + 1) for i in range(n)}
+
+        for _ in range(2000):
+            doc = tree(0)
+            assert cli.dump_json(doc) == json.dumps(fmt_tree(doc), indent=2) + "\n"
+
+    @pytest.mark.parametrize("family", constructors.FAMILIES)
+    def test_report_documents(self, family):
+        build = cli.FAMILY_TABLE[family][0]
+        sc = build(argparse.Namespace(kappa=0.37, scalar=-5.0, sign=1)).scenario
+        doc = cli.report_doc(sc, residuals.full_report(sc), constructors.classify(sc))
+        assert cli.dump_json(doc) == json.dumps(fmt_tree(doc), indent=2) + "\n"
+
+    def test_fmt(self):
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                  np.float64(-2.5e-17), 1 / 3, 123456789012.5, 1e16, -1e-5]
+        for x in values + list(np.random.default_rng(3).normal(size=200) * 1e5):
+            assert repr(cli.fmt(x)) == repr(reference_fmt(x))
+            assert type(cli.fmt(x)) is float
+
+    def test_not_serializable(self):
+        with pytest.raises(TypeError):
+            cli.dump_json({"a": object()})

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_model
 from het3 import constructors, frame, geometry, residuals, torsion
 from het3.errors import (
+    NonFiniteResidual,
     NonPositiveKappa,
     NotSkewTorsion,
     ScenarioValidationError,
@@ -21,6 +22,17 @@ def first_factor(r, x, y) -> np.ndarray:
     """Dual components of the 2-form R_{X,Y}: (x ^ y)_a = eps_{ija} x_i y_j
     paired with the first factor of the grid."""
     return np.einsum("ija,i,j->a", frame.EPS, x, y) @ r.entries
+
+
+def expand_and_trace_yang_mills(sc):
+    """Reference Yang-Mills residual: R^D expanded to rank 4, its rank-5
+    covariant derivative, then the trace, read at the cyclic pairs."""
+    r_d = sc.curvature_D
+    dr = torsion.covariant_derivative(sc.connection.total, geometry.endo_from_operator(r_d))
+    return (
+        -np.einsum("...iixpq->...xpq", dr)[..., :, frame._P, frame._Q]
+        + frame.star_matrix(sc.phi) @ r_d.entries
+    )
 
 
 def skew_heisenberg_scenario(kappa=1.0):
@@ -235,6 +247,24 @@ class TestYangMills:
                 scale = max(1.0, float(np.abs(want).max()))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
+    @pytest.mark.parametrize("shape", [(), (12,), (3, 4)], ids=str)
+    def test_matches_expand_and_trace(self, rng, shape):
+        # non-skew contorsion and nonzero phi, over six decades of scale
+        for scale in 10.0 ** np.arange(-3, 4):
+            models = [random_model(rng).c for _ in range(math.prod(shape))]
+            a = scale * rng.normal(size=shape + (3, 3))
+            sc = residuals.SolitonScenario(
+                model=geometry.StructureConstants(np.reshape(models, shape + (3, 3, 3))),
+                contorsion=torsion.Contorsion(a + np.swapaxes(a, -1, -2)),
+                h=1.0, kappa=1.0, phi=rng.normal(size=shape + (3,)),
+            )
+            got = residuals.yang_mills_residual(sc)
+            want = expand_and_trace_yang_mills(sc)
+            assert got.shape == want.shape == shape + (3, 3)
+            # per sample, the allowance of test_matches_row_loops
+            allowance = 1e-13 * np.maximum(1.0, np.abs(want).max(axis=(-2, -1)))
+            assert (np.abs(got - want).max(axis=(-2, -1)) <= allowance).all()
+
     def test_skew_path_requires_skew(self):
         sc = residuals.SolitonScenario(
             model=geometry.heisenberg(1.0),
@@ -429,6 +459,39 @@ class TestFullReport:
         residuals.full_report(sc)
         constructors.classify(sc)
         assert calls == {"levi_civita": 1, "curvature": 2, "contorsion_coefficients": 1}
+
+    def test_each_term_once(self, monkeypatch):
+        # one report and its identities: nabla phi once, and the Yang-Mills
+        # divergence without the rank-4 expansion or its covariant derivative
+        calls = Counter()
+        for module, name in [
+            (residuals, "grad_phi"),
+            (torsion, "covariant_derivative"),
+            (geometry, "endo_from_operator"),
+        ]:
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        sc = residuals.SolitonScenario(
+            model=geometry.hyperbolic_model(0.7), contorsion=torsion.skew(0.3),
+            h=1.0, kappa=1.0, phi=np.array([0.4, 0.0, 0.0]),
+        )
+        report = residuals.full_report(sc)
+        assert report.remark_identity is not None
+        assert report.trace_identity is not None
+        assert calls == {"grad_phi": 1}
+
+    def test_overflow_is_an_error(self):
+        # finite inputs whose curvature quadratic overflows: no verdict, and
+        # no RuntimeWarning on the way (an error under the pytest settings)
+        sc = residuals.SolitonScenario(
+            model=geometry.hyperbolic_model(1e100), contorsion=torsion.skew(1e100),
+            h=1e100, kappa=1e100,
+        )
+        with pytest.raises(NonFiniteResidual, match="the einstein residual"):
+            residuals.full_report(sc)
 
     def test_non_skew_scenario_has_no_remark(self):
         sc = residuals.SolitonScenario(
