@@ -469,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# argparse set-up costs ~1 ms, more than any step of `check` but curv_compose
+# argparse set-up costs ~1 ms, longer than all the rest of a `check`
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     return build_parser()

@@ -249,13 +249,16 @@ def classify(sc: residuals.SolitonScenario) -> ClassificationVerdict:
             f"classify takes one scenario, not a batch of shape {ricci.shape[:-2]}"
         )
     vals, vecs = np.linalg.eigh(ricci)
-    if np.max(np.abs(vals)) <= CLASSIFY_TOL:
+    # Python floats, in the ascending order of eigh: the spread
+    # np.max(vals) - np.min(vals) is mu - lo, and a NaN fails every test as
+    # it fails the array forms (lo <= mid catches one in the middle)
+    lo, mid, mu = vals.tolist()
+    if abs(lo) <= CLASSIFY_TOL and abs(mid) <= CLASSIFY_TOL and abs(mu) <= CLASSIFY_TOL:
         return ClassificationVerdict("FLAT", vals, None)
-    if np.max(vals) - np.min(vals) <= CLASSIFY_TOL:
-        kind = "HYPERBOLIC_TYPE" if vals[0] < 0 else "OTHER"
+    if mu - lo <= CLASSIFY_TOL and lo <= mid:
+        kind = "HYPERBOLIC_TYPE" if lo < 0 else "OTHER"
         return ClassificationVerdict(kind, vals, None)
-    mu = vals[2]
-    if mu > CLASSIFY_TOL and np.all(np.abs(vals[:2] + mu) <= CLASSIFY_TOL):
+    if mu > CLASSIFY_TOL and abs(lo + mu) <= CLASSIFY_TOL and abs(mid + mu) <= CLASSIFY_TOL:
         axis = vecs[:, 2]
         if axis[np.argmax(np.abs(axis))] < 0:
             axis = -axis

@@ -32,6 +32,10 @@ the cached objects, so neither they nor the scenario's arrays may be
 changed in place.  A report computes the two identities only when they are
 read: a sweep never reads them.
 
+The Einstein term kappa R^D o_g R^D is ``frame.curv_square``, the Hodge
+closed form tr(M) g - M of the Gram matrix M of the rows of R^D.entries,
+which gives the bits of the direct contraction ``frame.curv_compose``.
+
 Sign convention for the divergence: (d*_D R)(X) = -(D_{e_i} R)_{e_i, X},
 which reproduces the skew-torsion specialization
 d^{nabla} Ric(X) + 3 alpha * Ric_0(X) componentwise (the sign of the
@@ -75,8 +79,8 @@ from .frame import (
     CurvatureOperator,
     _per_grid,
     as_vec,
-    curv_compose,
     curv_norm_sq,
+    curv_square,
     dot,
     star_matrix,
 )
@@ -214,12 +218,11 @@ def grad_phi(sc: SolitonScenario) -> np.ndarray:
 
 def einstein_residual(sc: SolitonScenario) -> np.ndarray:
     """Full (possibly non-symmetric) grid of the first soliton equation."""
-    r_d = sc.curvature_D
     return (
         sc.curvature_g.ricci
         + sc.nabla_phi
         - _per_grid(0.5 * sc.h * sc.h) * np.eye(3)
-        + _per_grid(sc.kappa) * curv_compose(r_d, r_d)
+        + _per_grid(sc.kappa) * curv_square(sc.curvature_D)
     )
 
 

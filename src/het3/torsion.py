@@ -62,10 +62,16 @@ class Contorsion:
 
     def is_pure_skew_torsion(self) -> np.ndarray:
         """True when A = alpha g up to SKEW_TOL, i.e. the torsion is a 3-form;
-        per sample."""
-        return (np.abs(self.traceless_sym).max(axis=(-2, -1)) <= SKEW_TOL) & (
-            np.abs(self.skew_vector).max(axis=-1) <= SKEW_TOL
-        )
+        per sample.
+
+        Tests Theta and skew(A) = *zeta in one pass over the two grids: the
+        largest entry of skew(A) is the largest component of zeta.
+        """
+        a = self.a
+        at = a.swapaxes(-1, -2)
+        theta = 0.5 * (a + at) - self.trace_part[..., None, None] * np.eye(3)
+        off = np.maximum(np.abs(theta), np.abs(0.5 * (a - at)))
+        return off.max(axis=(-2, -1)) <= SKEW_TOL
 
 
 @dataclass(frozen=True)

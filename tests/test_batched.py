@@ -94,6 +94,7 @@ def kernels(sc):
         "covariant_derivative_ricci": torsion.covariant_derivative(conn.base, data.ricci),
         "covariant_derivative_A": torsion.covariant_derivative(conn.total, sc.contorsion.a),
         "curv_compose": frame.curv_compose(rd, rd),
+        "curv_square": frame.curv_square(rd),
         "curv_norm_sq": frame.curv_norm_sq(rd),
         "star_matrix": frame.star_matrix(sc.phi),
         "trace_part": sc.contorsion.trace_part,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from het3 import cli, constructors, residuals
+from het3 import cli, constructors, frame, residuals
 
 SKEW_HEISENBERG_DOC = {
     "structure_constants": [[1, 2, 3, 1.0]],
@@ -133,6 +133,26 @@ class TestCheck:
         assert cli.main(["check", path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "SOLUTION"
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("run", ["check", "sweep"])
+    def test_report_path_skips_the_loop(self, tmp_path, monkeypatch, capsys, run):
+        # the Einstein term squares R^D in closed form: no curv_compose call,
+        # through the name residuals resolves or through frame
+        calls = []
+        compose = frame.curv_compose
+
+        def counted(*args):
+            calls.append(args)
+            return compose(*args)
+
+        monkeypatch.setattr(frame, "curv_compose", counted)
+        monkeypatch.setattr(residuals, "curv_compose", counted, raising=False)
+        if run == "check":
+            assert cli.main(["check", write_doc(tmp_path, SKEW_HEISENBERG_DOC), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["verdict"] == "SOLUTION"
+        else:
+            assert len(constructors.sweep_window(1.0, 16)) == 16
+        assert calls == []
 
     def test_tolerance_flag_and_env(self, tmp_path, monkeypatch):
         doc = dict(SKEW_HEISENBERG_DOC)

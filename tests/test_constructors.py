@@ -1,6 +1,8 @@
 """Solution families, the scalar-curvature window, classification, sweeps."""
 
+import itertools
 import math
+import types
 from collections import Counter
 
 import numpy as np
@@ -163,7 +165,60 @@ class TestBoundary:
         assert residuals.full_report(bad).verdict == "NOT_SOLUTION"
 
 
+def reference_kind(ricci) -> str:
+    """classify's kind by the array expressions on the eigenvalues."""
+    vals = np.linalg.eigh(ricci)[0]
+    tol = constructors.CLASSIFY_TOL
+    if np.max(np.abs(vals)) <= tol:
+        return "FLAT"
+    if np.max(vals) - np.min(vals) <= tol:
+        return "HYPERBOLIC_TYPE" if vals[0] < 0 else "OTHER"
+    mu = vals[2]
+    if mu > tol and np.all(np.abs(vals[:2] + mu) <= tol):
+        return "HEISENBERG_TYPE"
+    return "OTHER"
+
+
+def ricci_grids(rng):
+    """Random symmetric grids, and diagonal ones (eigh returns their
+    entries exactly) on and within +-CLASSIFY_TOL of every boundary."""
+    tol = constructors.CLASSIFY_TOL
+    grids = [a + a.T for a in rng.normal(size=(200, 3, 3))]
+    offsets = [0.0, tol, -tol, np.nextafter(tol, 0), np.nextafter(tol, 1), 0.5 * tol, 2 * tol]
+    for base in ([0, 0, 0], [-2, -2, -2], [2, 2, 2], [-1, -1, 1], [-tol, -tol, tol]):
+        for shift in itertools.product(offsets, repeat=3):
+            grids.append(np.diag(np.add(base, shift)))
+    for vals in rng.uniform(-2 * tol, 2 * tol, size=(200, 3)) + rng.choice(
+        [0.0, 1.0, -1.0], size=(200, 1)
+    ) * np.array([-1.0, -1.0, 1.0]):
+        grids.append(np.diag(vals))
+    return grids
+
+
 class TestClassify:
+    @pytest.fixture
+    def as_scenario(self):
+        # classify reads only curvature_g.ricci of its scenario
+        return lambda ricci: types.SimpleNamespace(curvature_g=types.SimpleNamespace(ricci=ricci))
+
+    def test_kind_matches_array_expressions(self, rng, as_scenario):
+        kinds = Counter()
+        for ricci in ricci_grids(rng):
+            verdict = constructors.classify(as_scenario(ricci))
+            assert verdict.kind == reference_kind(ricci), np.diagonal(ricci)
+            kinds[verdict.kind] += 1
+        assert set(kinds) == {"FLAT", "HYPERBOLIC_TYPE", "HEISENBERG_TYPE", "OTHER"}
+
+    @pytest.mark.parametrize("diag", [
+        [np.nan, 1.0, 2.0], [-1.0, np.nan, -1.0], [-1.0, -1.0, np.nan],
+        [np.inf, 1.0, 1.0], [-np.inf, -np.inf, -np.inf], [0.0, 0.0, np.inf],
+    ])
+    def test_non_finite_eigenvalues(self, as_scenario, diag):
+        with np.errstate(invalid="ignore"):
+            assert constructors.classify(as_scenario(np.diag(diag))).kind == reference_kind(
+                np.diag(diag)
+            )
+
     def test_heisenberg(self):
         built = constructors.construct_skew_heisenberg(1.0)
         verdict = constructors.classify(built.scenario)

@@ -111,6 +111,9 @@ class TestCurvatureContractions:
     def test_zero(self):
         z = frame.CurvatureOperator(np.zeros((3, 3)))
         np.testing.assert_array_equal(frame.curv_compose(z, z), np.zeros((3, 3)))
+        square = frame.curv_square(z)
+        np.testing.assert_array_equal(square, np.zeros((3, 3)))
+        assert not np.signbit(square).any()  # +0 everywhere, as the loop gives
         assert frame.curv_norm_sq(z) == 0.0
 
     def test_hyperbolic_skew_compose(self):
@@ -164,6 +167,48 @@ class TestCurvatureContractions:
                     want[p, q] += a @ b
         got = frame.curv_compose(frame.CurvatureOperator(k1), frame.CurvatureOperator(k2))
         np.testing.assert_array_equal(got, want)
+
+
+class TestCurvSquare:
+    """curv_square is curv_compose(r, r) bit for bit: the closed form reports
+    use against the definition."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (16,), (3, 4), (1024,)])
+    def test_matches_compose_bit_for_bit(self, rng, shape):
+        for scale in 10.0 ** np.arange(-8, 9, 4):
+            k = rng.normal(size=shape + (3, 3)) * scale * 10.0 ** rng.uniform(-2, 2, shape + (3, 3))
+            flat = k.reshape(-1, 3, 3)
+            flat[::3, rng.integers(3)] = 0.0  # a zero row
+            flat[1::3, :, rng.integers(3)] = 0.0  # a zero column
+            r = frame.CurvatureOperator(k)
+            got = frame.curv_square(r)
+            assert got.shape == shape + (3, 3)
+            assert np.array_equal(got, frame.curv_compose(r, r)), scale
+
+    @pytest.mark.parametrize("signs", ["positive", "one_large_row"])
+    def test_overflow_gives_the_same_infs(self, rng, signs):
+        k = 10.0 ** rng.uniform(159, 161, (16, 3, 3))
+        if signs == "one_large_row":
+            # only M_00 overflows; the other dots stay finite
+            k *= rng.choice([-1.0, 1.0], size=k.shape)
+            k[:, 1:] *= 1e-160
+        r = frame.CurvatureOperator(k)
+        with np.errstate(over="ignore"):
+            got, want = frame.curv_square(r), frame.curv_compose(r, r)
+        assert np.isinf(got).any()
+        assert np.array_equal(got, want)
+
+    def test_non_finite_entry(self, rng):
+        # the loop spreads a NaN over the whole grid (0 * inf) and the closed
+        # form keeps it where M is not finite: both are non-finite per sample
+        k = rng.normal(size=(27, 3, 3))
+        for n in range(27):  # one entry per sample, every position
+            k[n, n // 9, n // 3 % 3] = [np.nan, np.inf, -np.inf][n % 3]
+        r = frame.CurvatureOperator(k)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = frame.curv_square(r), frame.curv_compose(r, r)
+        for result in (got, want):
+            assert not np.isfinite(result).all(axis=(-2, -1)).any()
 
 
 def test_first_factor_matches_entries():

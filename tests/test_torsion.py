@@ -64,6 +64,39 @@ class TestDecompose:
         assert abs(np.sum(theta * frame.star_matrix(zeta))) < 1e-12
 
 
+class TestPureSkew:
+    @staticmethod
+    def reference(ct):
+        """is_pure_skew_torsion through Theta and zeta."""
+        return (np.abs(ct.traceless_sym).max(axis=(-2, -1)) <= torsion.SKEW_TOL) & (
+            np.abs(ct.skew_vector).max(axis=-1) <= torsion.SKEW_TOL
+        )
+
+    @pytest.mark.parametrize("shape", [(), (64,), (4, 16)])
+    def test_matches_theta_and_zeta(self, rng, shape):
+        tol = torsion.SKEW_TOL
+        n = int(np.prod(shape))
+        alpha = rng.normal(size=n)[:, None, None] * rng.choice([0.0, 1.0, 1e3], size=(n, 1, 1))
+        # alpha g moved off by a step on either side of SKEW_TOL: at one
+        # entry, or symmetric or skew at a pair; or noise
+        step = rng.choice([0.5, 1.0, 2.0, 0.999999, 1.000001], size=n) * tol
+        step *= rng.choice([-1.0, 1.0], size=n)
+        a = alpha * np.eye(3) + np.zeros((n, 3, 3))
+        i, j = rng.integers(3, size=(2, n))
+        a[np.arange(n), i, j] += step
+        a[np.arange(n), j, i] += step * rng.choice([0.0, 1.0, -1.0], size=n)
+        noisy = rng.random(n) < 0.2
+        a[noisy] += rng.normal(size=(int(noisy.sum()), 3, 3)) * 10.0 ** rng.uniform(
+            -12, 0, (int(noisy.sum()), 1, 1)
+        )
+        ct = torsion.Contorsion(a.reshape(shape + (3, 3)))
+        got = ct.is_pure_skew_torsion()
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, self.reference(ct))
+        if shape:
+            assert 0 < got.sum() < n  # both outcomes occur
+
+
 class TestBuildReducible:
     def test_pure_skew_case(self):
         ct = torsion.build_reducible(
