@@ -23,7 +23,6 @@ positive and finite.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -35,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from . import __version__, constructors, geometry, residuals, torsion
-from .errors import Het3Error, OutOfWindow
+from .errors import Het3Error, NonFiniteResidual, OutOfWindow
 
 # Python 3.13's pattern: older argparse reads "-3e-05" as an option, not a value
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
@@ -357,9 +356,12 @@ def cmd_construct(args) -> int:
         built = build(args)
     except OutOfWindow as exc:
         print(f"error: {exc}", file=sys.stderr)
-        low, high = constructors.scalar_window(args.kappa)
-        print(f"admissible s_g window for kappa={args.kappa:g}: ({low:g}, {high:g})",
-              file=sys.stderr)
+        try:
+            low, high = constructors.scalar_window(args.kappa)
+            window = f"({low:g}, {high:g})"
+        except Het3Error:  # -24/kappa overflows: every negative s_g is inside
+            window = "s_g < 0"
+        print(f"admissible s_g window for kappa={args.kappa:g}: {window}", file=sys.stderr)
         return EXIT_ERROR
 
     # full precision: json writes each float as its shortest round-trip repr
@@ -383,6 +385,12 @@ def cmd_construct(args) -> int:
     return EXIT_SOLUTION
 
 
+# One CSV line per sweep row, each float as "%.12g": no field can need
+# quoting.  An out-of-window row leaves alpha, h and residual_norm empty.
+_SWEEP_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
+_SWEEP_OUT = "%.12g,%.12g,,,,%s\n"
+
+
 def cmd_sweep(args) -> int:
     tol = tolerance(args.tol)
     if args.points < 2:
@@ -396,35 +404,34 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    def emit(stream):
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["s_g", "kappa_s_g", "alpha", "h", "residual_norm", "verdict"])
-        for row in rows:
-            writer.writerow(
-                [
-                    f"{row.scalar:.12g}",
-                    f"{row.kappa_scalar:.12g}",
-                    "" if row.alpha is None else f"{row.alpha:.12g}",
-                    "" if row.h is None else f"{row.h:.12g}",
-                    "" if row.residual_norm is None else f"{row.residual_norm:.12g}",
-                    row.verdict,
-                ]
-            )
-
+    text = "s_g,kappa_s_g,alpha,h,residual_norm,verdict\n" + "".join(
+        _SWEEP_OUT % (row.scalar, row.kappa_scalar, row.verdict)
+        if row.alpha is None
+        else _SWEEP_ROW % (row.scalar, row.kappa_scalar, row.alpha, row.h,
+                           row.residual_norm, row.verdict)
+        for row in rows
+    )
     if args.csv:
         try:
             with open(args.csv, "w", encoding="utf-8", newline="\n") as f:
-                emit(f)
+                f.write(text)
         except OSError as exc:
             print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
             return EXIT_ERROR
     else:
-        emit(sys.stdout)
+        sys.stdout.write(text)
     return EXIT_SOLUTION
 
 
 def cmd_classify(args) -> int:
     sc = load_scenario(args.path)
+    # eigh of an overflowed grid gives NaN or inf eigenvalues, not a kind
+    with np.errstate(over="ignore", invalid="ignore"):
+        ricci = sc.curvature_g.ricci
+    if not np.isfinite(ricci).all():
+        raise NonFiniteResidual(
+            "the Ricci tensor is not finite: the scenario overflows the float range"
+        )
     verdict = constructors.classify(sc)
     sys.stdout.write(dump_json(classification_doc(verdict)))
     return EXIT_SOLUTION

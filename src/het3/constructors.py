@@ -33,6 +33,7 @@ in-window samples of each SWEEP_BLOCK to one constructor call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,9 +185,15 @@ def _kappa_scalar(kappa, scalar) -> np.ndarray:
 
 
 def scalar_window(kappa: float) -> tuple[float, float]:
-    """Admissible open interval for s_g of hyperbolic skew solitons."""
+    """Admissible open interval for s_g of hyperbolic skew solitons.
+
+    Raises when -24/kappa overflows (kappa below about 1.3e-307).
+    """
     _require_kappa(kappa)
-    return (WINDOW[0] / kappa, WINDOW[1])
+    with np.errstate(over="ignore"):  # an overflow to -inf fails the check
+        low = WINDOW[0] / kappa
+    _require_finite(**{"-24/kappa": low})
+    return (low, WINDOW[1])
 
 
 def construct_hyperbolic_skew(kappa, scalar) -> ConstructedSoliton:
@@ -266,19 +273,22 @@ def classify(sc: residuals.SolitonScenario) -> ClassificationVerdict:
     return ClassificationVerdict("OTHER", vals, None)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sample of a sweep.  A named tuple: a sweep makes one per point,
+    and it builds in a quarter of the time of a frozen dataclass."""
+
     scalar: float
     kappa_scalar: float
-    alpha: float | None
+    alpha: float | None  # None, with h and residual_norm, out of the window
     h: float | None
     residual_norm: float | None
     verdict: str  # SOLUTION | NOT_SOLUTION | OUT_OF_WINDOW
 
 
-# Samples per full_report in a sweep.  A block's scenarios and arrays take
-# about 10 kB per sample, so this bounds a sweep's working memory (about
-# 10 MB) at any number of points; only the returned rows grow with it.
+# Samples per full_report in a sweep.  One full block peaks at about 4.0 MB
+# of working memory (tracemalloc over sweep_window(1.0, 1024): scenario,
+# curvature gathers, report and rows), so this bounds a sweep's working
+# memory at any number of points; only the returned rows grow with it.
 SWEEP_BLOCK = 1024
 
 
@@ -296,18 +306,17 @@ def _sweep_rows(kappa: float, scalars, tol: float) -> list[SweepRow]:
     rows: list = []
     for start in range(0, len(s_list), SWEEP_BLOCK):
         stop = min(start + SWEEP_BLOCK, len(s_list))
-        index = start + np.flatnonzero(inside[start:stop])
-        solved = {}  # row index -> (alpha, h, residual norm, verdict)
+        index = np.flatnonzero(inside[start:stop])
+        # (alpha, h, residual norm, verdict) per row of the block
+        fields = [(None, None, None, "OUT_OF_WINDOW")] * (stop - start)
         if index.size:
-            built = construct_hyperbolic_skew(kappa, scalars[index])
+            built = construct_hyperbolic_skew(kappa, scalars[start + index])
             report = residuals.full_report(built.scenario, tol=tol)
-            solved = dict(zip(index.tolist(), zip(
-                built.alpha.tolist(), built.h.tolist(),
-                report.worst.tolist(), report.verdict.tolist(),
-            )))
-        for i in range(start, stop):
-            fields = solved.get(i, (None, None, None, "OUT_OF_WINDOW"))
-            rows.append(SweepRow(s_list[i], ks_list[i], *fields))
+            solved = zip(built.alpha.tolist(), built.h.tolist(),
+                         report.worst.tolist(), report.verdict.tolist())
+            for i, values in zip(index.tolist(), solved):
+                fields[i] = values
+        rows += map(SweepRow, s_list[start:stop], ks_list[start:stop], *zip(*fields))
     return rows
 
 
@@ -327,14 +336,19 @@ def sweep_window(
     """Sample s_g across the admissible window (interior by default)."""
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    low, high = scalar_window(kappa)
     if s_min is None and s_max is None:
+        low, high = scalar_window(kappa)
         # strictly interior grid of the open window
         step = (high - low) / (n_points + 1)
         samples = low + np.arange(1, n_points + 1) * step
     else:
-        lo = low if s_min is None else s_min
-        hi = high if s_max is None else s_max
+        # the window's lower end, -24/kappa, only when s_min is not given
+        _require_kappa(kappa)
+        lo = scalar_window(kappa)[0] if s_min is None else s_min
+        hi = WINDOW[1] if s_max is None else s_max
         _require_finite(s_min=lo, s_max=hi)
+        with np.errstate(over="ignore"):  # an overflow to inf fails the check
+            step = (hi - lo) / (n_points - 1)
+        _require_finite(**{"(s_max - s_min)/(points - 1)": step})
         samples = np.linspace(lo, hi, n_points)
     return _sweep_rows(kappa, samples, tol)

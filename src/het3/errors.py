@@ -34,7 +34,7 @@ class NonPositiveKappa(ScenarioValidationError):
 
 
 class NonFiniteResidual(Het3Error):
-    """A residual of a valid scenario overflows the float range."""
+    """A residual or the curvature of a valid scenario overflows the float range."""
 
 
 class NonNegativeScalar(Het3Error):

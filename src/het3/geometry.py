@@ -16,6 +16,13 @@ with frame.EPS the other; the reconstruction from Ricci gathers rows and
 columns of *Ric.  Each contraction in them has one nonzero term per entry,
 so it is exact.
 
+The curvature has two implementations.  ``curvature_endo``, collapsed by
+``operator_from_endo`` and an einsum over i for Ricci (``curvature``), is
+the definition.  ``curvature_pair`` is what scenarios use: R^g, Ric^g,
+s_g and R^D in one pass, from a fixed index table (built here from
+frame._P, frame._Q) that lists the factors of every product the results
+read, summed in the einsum's order, so that it gives the definition's bits.
+
 Every kernel accepts leading batch axes: structure constants (..., 3, 3, 3),
 connection coefficients (..., 3, 3, 3), endomorphism components
 (..., 3, 3, 3, 3); a single model is batch shape ().
@@ -156,6 +163,79 @@ def curvature(sc: StructureConstants, gamma: np.ndarray) -> CurvatureData:
         ricci=ric,
         scalar=ric.trace(axis1=-2, axis2=-1),
     )
+
+
+def _pair_table() -> tuple[np.ndarray, np.ndarray]:
+    """The index table of ``curvature_pair``, as (left, right) factor indices
+    into the flat [gamma^g | gamma^D | c] vector, each of shape
+    (3 terms, 3 m, 45 entries).
+
+    Entries: the 9 grid entries R^g[P_a, Q_a, P_b, Q_b] (a, b row-major), the
+    27 Ricci terms R^g[i, j, k, i] (i, j, k row-major), then the 9 grid
+    entries of R^D.  Terms, as in ``curvature_endo``: t[ijkl] =
+    gamma_jkm gamma_iml, t[jikl] = gamma_ikm gamma_jml and
+    ct[ijkl] = c_ijm gamma_mkl.
+    """
+    grid = [np.repeat(_P, 3), np.repeat(_Q, 3), np.tile(_P, 3), np.tile(_Q, 3)]
+    i, j, k = np.indices((3, 3, 3)).reshape(3, 27)
+    ricci = [i, j, k, i]
+    i, j, k, l = (np.concatenate(axis) for axis in zip(grid, ricci, grid))
+    g = np.repeat([0, 27], [36, 9])  # the offset of gamma^g or gamma^D
+    m = np.arange(3)[:, None]
+    left = np.stack([g + 9 * j + 3 * k + m, g + 9 * i + 3 * k + m, 54 + 9 * i + 3 * j + m])
+    right = np.stack([g + 9 * i + 3 * m + l, g + 9 * j + 3 * m + l, g + 9 * m + 3 * k + l])
+    return left, right
+
+
+_LEFT, _RIGHT = _pair_table()
+
+# Samples per gather in curvature_pair: the two gathered factor grids of a
+# chunk take 2 x 405 x 8 B per sample, about 0.8 MB, at any batch size.
+_PAIR_CHUNK = 128
+
+
+def curvature_pair(
+    sc: StructureConstants, gamma_g: np.ndarray, gamma_d: np.ndarray
+) -> tuple[CurvatureData, CurvatureOperator]:
+    """``curvature(sc, gamma_g)`` and ``curvature(sc, gamma_d).riemann`` in
+    one pass over the index table, bit for bit.
+
+    The factors of the products are gathered, _PAIR_CHUNK samples at a
+    time, from a flat [gamma^g | gamma^D | c] grid with one row per index,
+    and summed in the einsums' order: over m from a zero start, then
+    (t[ijkl] - t[jikl]) - ct, then the Ricci terms over i.  Only the entries
+    the results read are formed: 45 of the 162 of the two curvature_endo
+    grids.  The batch shape is that of the three inputs broadcast together.
+    """
+    arrays = (gamma_g, gamma_d, sc.c)
+    if not gamma_g.shape == gamma_d.shape == sc.c.shape:
+        arrays = np.broadcast_arrays(*arrays)
+    shape = arrays[0].shape[:-3]
+    # one row per index and one column per sample: a table entry gathers a row
+    x = np.concatenate([a.reshape(-1, 27).T for a in arrays])
+    n = x.shape[1]
+    s = np.empty((3, 45, n))  # the sums over m of the three terms
+    for start in range(0, n, _PAIR_CHUNK):
+        cols = slice(start, start + _PAIR_CHUNK)
+        p = x[_LEFT, cols]
+        p *= x[_RIGHT, cols]
+        np.add(p[:, 0], p[:, 1], out=s[:, :, cols])
+        s[:, :, cols] += p[:, 2]
+    t, t_swapped, ct = s
+    r = (t - t_swapped) - ct
+    # the einsums add to a +0 start, so none of their sums, and no entry of
+    # R, is -0; here three -0 products sum to -0, which can leave a -0 in r,
+    # and adding +0 turns it to +0 and leaves every other value as it is
+    r += 0.0
+    ric = (r[9:18] + r[18:27]) + r[27:36]
+    # one C-contiguous (batch, 9) block per grid: curv_norm_sq and the
+    # Frobenius sums of Ric_0 would sum a strided grid in another order
+    grids = np.concatenate((r[:9], ric, r[36:])).reshape(3, 9, -1).transpose(0, 2, 1).copy()
+    rg, ric, rd = grids.reshape((3,) + shape + (3, 3))
+    data = CurvatureData(
+        riemann=CurvatureOperator(rg), ricci=ric, scalar=ric.trace(axis1=-2, axis2=-1)
+    )
+    return data, CurvatureOperator(rd)
 
 
 def _check_trace(ric: np.ndarray, s: float) -> None:

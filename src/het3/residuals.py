@@ -24,8 +24,9 @@ batch, so that one ``full_report`` evaluates them all.
 Each scenario is validated once, through ``SolitonScenario.validate``, and
 derives every shared term once: ``SolitonScenario.connection``
 (the torsion connection D, whose ``.base`` holds the Levi-Civita
-coefficients), ``curvature_g`` (Riemann, Ricci and scalar curvature of g),
-``curvature_D`` (the curvature R^D), ``nabla_phi`` (nabla^g phi),
+coefficients), ``curvature_g`` (Riemann, Ricci and scalar curvature of g)
+and ``curvature_D`` (the curvature R^D), both from one
+``geometry.curvature_pair`` pass, ``nabla_phi`` (nabla^g phi),
 ``delta_phi`` (delta^g phi) and ``phi_sq`` (|phi|^2) are cached on first
 use, and every residual below reads them from there.  Every reader shares
 the cached objects, so neither they nor the scenario's arrays may be
@@ -142,14 +143,20 @@ class SolitonScenario:
         return torsion.connection_with_torsion(self.model, self.contorsion)
 
     @cached_property
+    def _curvatures(self) -> tuple[geometry.CurvatureData, CurvatureOperator]:
+        """R^g with its Ricci and scalar curvature, and R^D, in one pass."""
+        conn = self.connection
+        return geometry.curvature_pair(self.model, conn.base, conn.total)
+
+    @cached_property
     def curvature_g(self) -> geometry.CurvatureData:
         """Riemann operator, Ricci tensor and scalar curvature of the metric."""
-        return geometry.curvature(self.model, self.connection.base)
+        return self._curvatures[0]
 
     @cached_property
     def curvature_D(self) -> CurvatureOperator:
         """R^D, the curvature of the torsion connection."""
-        return torsion.curvature_D(self.model, self.connection)
+        return self._curvatures[1]
 
     @cached_property
     def nabla_phi(self) -> np.ndarray:

@@ -12,6 +12,7 @@ of three terms added in order, and the same BLAS calls).
 
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -207,6 +208,7 @@ class TestSweepBatch:
         for module, name in [
             (residuals, "full_report"),
             (geometry, "curvature"),
+            (geometry, "curvature_pair"),
             (residuals, "trace_identity_residual"),
             (residuals, "remark_identity_residual"),
         ]:
@@ -217,7 +219,19 @@ class TestSweepBatch:
             monkeypatch.setattr(module, name, counted)
         rows = constructors.sweep_window(1.0, n_points)
         assert len(rows) == n_points
-        assert calls == {"full_report": 1, "curvature": 2}
+        # R^g and R^D of the block in one table pass, without curvature_endo
+        assert calls == {"full_report": 1, "curvature_pair": 1}
+
+    def test_block_memory(self):
+        # the working memory of one full SWEEP_BLOCK, gathers included
+        constructors.sweep_window(1.0, 1024)  # numpy's lazy set-up first
+        tracemalloc.start()
+        try:
+            constructors.sweep_window(1.0, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
 
     @pytest.mark.parametrize("kappa", [1e-2, 1.0, 1e2])
     def test_dense_grid_solves(self, kappa):

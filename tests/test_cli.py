@@ -1,6 +1,8 @@
 """CLI surface: scenario files, subcommands, exit codes, determinism."""
 
 import argparse
+import csv
+import io
 import json
 import math
 
@@ -274,6 +276,15 @@ class TestConstruct:
         err = capsys.readouterr().err
         assert "(-24, 0)" in err
 
+    def test_out_of_window_tiny_kappa(self, capsys):
+        # -24/kappa overflows: the hint names no infinite end
+        code = cli.main(["construct", "hyperbolic", "--kappa", "1e-308", "--scalar", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "admissible s_g window for kappa=1e-308: s_g < 0" in err
+        assert "inf" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -376,6 +387,34 @@ class TestSweep:
     def test_single_point_rejected(self, capsys):
         assert cli.main(["sweep", "--kappa", "1", "--points", "1"]) == 2
 
+    def test_explicit_range_at_tiny_kappa(self, capsys):
+        # -24/kappa overflows, but a given range does not need it
+        argv = ["sweep", "--kappa", "1e-308", "--points", "2", "--s-min=1", "--s-max=2"]
+        assert cli.main(argv) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert rows == ["1,1e-308,,,,OUT_OF_WINDOW", "2,2e-308,,,,OUT_OF_WINDOW"]
+
+    def test_csv_bytes(self, tmp_path, capsys):
+        # the bytes csv.writer writes for the same rows, with and without
+        # empty fields
+        argv = ["sweep", "--kappa", "0.37", "--points", "9", "--s-min=-80", "--s-max=1e-3"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        rows = constructors.sweep_window(0.37, 9, s_min=-80, s_max=1e-3)
+        assert {row.verdict for row in rows} == {"SOLUTION", "OUT_OF_WINDOW"}
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(["s_g", "kappa_s_g", "alpha", "h", "residual_norm", "verdict"])
+        for row in rows:
+            writer.writerow(
+                [f"{row.scalar:.12g}", f"{row.kappa_scalar:.12g}"]
+                + ["" if x is None else f"{x:.12g}" for x in (row.alpha, row.h, row.residual_norm)]
+                + [row.verdict]
+            )
+        assert out == ref.getvalue()
+        assert cli.main(argv + ["--csv", str(tmp_path / "rows.csv")]) == 0
+        assert (tmp_path / "rows.csv").read_bytes() == out.encode()
+
 
 class TestClassify:
     def test_heisenberg(self, tmp_path, capsys):
@@ -401,6 +440,20 @@ class TestClassify:
 
     def test_bad_file(self, tmp_path):
         assert cli.main(["classify", str(tmp_path / "nope.json")]) == 2
+
+    def test_overflow_exit_two(self, tmp_path, capsys):
+        # a valid model whose Ricci tensor overflows: as check, exit 2 with
+        # one error line (a RuntimeWarning is an error under the pytest
+        # settings)
+        doc = dict(SKEW_HEISENBERG_DOC)
+        doc["structure_constants"] = [[1, 2, 3, 1e200]]
+        path = write_doc(tmp_path, doc)
+        for command in (["classify", path], ["check", path, "--json"]):
+            assert cli.main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("error:") == 1
+            assert "not finite" in captured.err
 
 
 class TestParserOnce:
@@ -474,12 +527,16 @@ class TestParserOnce:
         # 48 h^2 / kappa underflows, so alpha^2 < 0
         ["construct", "hyperbolic", "--kappa", "1e200", "--scalar=-1e-200"],
         ["sweep", "--kappa", "1e200", "--points", "2"],
+        # -24/kappa overflows, and so does the linspace step
+        ["sweep", "--kappa", "1e-308", "--points", "3"],
+        ["sweep", "--kappa", "1", "--points", "2", "--s-min=-1e308", "--s-max=1e308"],
     ],
     ids=["skew_kappa_inf", "boundary_kappa_inf", "generic_scalar_minus_inf",
          "sweep_kappa_inf", "sweep_s_min_nan", "sweep_s_max_inf",
          "generic_h_overflow", "skew_scalar_overflow", "hyperbolic_alpha_overflow",
          "boundary_overflow", "sweep_alpha_overflow",
-         "hyperbolic_alpha_underflow", "sweep_alpha_underflow"],
+         "hyperbolic_alpha_underflow", "sweep_alpha_underflow",
+         "sweep_window_overflow", "sweep_step_overflow"],
 )
 def test_non_finite_argument_exit_two(capsys, argv):
     # a RuntimeWarning on the way is an error under the pytest settings

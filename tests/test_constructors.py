@@ -139,6 +139,10 @@ class TestHyperbolicSkew:
         assert constructors.scalar_window(3.0) == (-8.0, 0.0)
         with pytest.raises(NonPositiveKappa):
             constructors.scalar_window(0.0)
+        # -24/kappa past the float range is an error, not -inf
+        assert constructors.scalar_window(1e-306) == (-24.0 / 1e-306, 0.0)
+        with pytest.raises(ScenarioValidationError, match="must be finite"):
+            constructors.scalar_window(1e-308)
 
 
 class TestBoundary:

@@ -247,3 +247,115 @@ def test_from_entries_and_bracket():
     np.testing.assert_allclose(bracket([0, 1, 0], [0, 0, 1]), [1.0, 0, 0])
     np.testing.assert_allclose(bracket([1, 0, 0], [0, 1, 0]), [0, 0, 0.5])
     assert np.all(model.ad_trace() == 0.0)  # Milnor frames are unimodular
+
+
+def definition_pair(sc, gamma_g, gamma_d):
+    """The two curvature_endo grids collapsed as curvature does: R^g, Ric^g,
+    s_g and R^D."""
+    rendo = geometry.curvature_endo(sc, gamma_g)
+    ric = np.einsum("...ijki->...jk", rendo)
+    rd = geometry.operator_from_endo(geometry.curvature_endo(sc, gamma_d)).entries
+    return {
+        "riemann": geometry.operator_from_endo(rendo).entries,
+        "ricci": ric,
+        "scalar": ric.trace(axis1=-2, axis2=-1),
+        "curvature_D": rd,
+    }
+
+
+def pair_results(sc, gamma_g, gamma_d):
+    data, rd = geometry.curvature_pair(sc, gamma_g, gamma_d)
+    return {
+        "riemann": data.riemann.entries,
+        "ricci": data.ricci,
+        "scalar": data.scalar,
+        "curvature_D": rd.entries,
+    }
+
+
+def assert_same_bits(got, want):
+    """Equal values, NaN where the other has NaN, and the same sign on
+    every zero."""
+    for name in want:
+        a, b = np.asarray(got[name]), np.asarray(want[name])
+        assert a.shape == b.shape, name
+        assert type(got[name]) is type(want[name]), name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b), err_msg=name)
+
+
+class TestCurvaturePair:
+    """The one-pass R^g, Ric^g, s_g and R^D against the curvature_endo
+    definition, bit for bit."""
+
+    SHAPES = [(), (16,), (300,), (1024,), (3, 4)]  # 300: a short last chunk
+
+    @staticmethod
+    def draw(rng, shape, scale, zeros=0.0):
+        """A random model with its Levi-Civita connection and a torsion
+        connection, a share ``zeros`` of their entries set to +0 or -0."""
+        c = rng.normal(size=shape + (3, 3, 3)) * scale
+        c = c - np.swapaxes(c, -3, -2)
+        gamma_g = geometry.levi_civita(geometry.StructureConstants(c))
+        gamma_d = gamma_g + rng.normal(size=shape + (3, 3, 3)) * scale
+        arrays = []
+        for a in (c, gamma_g, gamma_d):
+            mask = rng.random(a.shape) < zeros
+            arrays.append(np.where(mask, rng.choice([0.0, -0.0], size=a.shape), a))
+        c, gamma_g, gamma_d = arrays
+        return geometry.StructureConstants(c), gamma_g, gamma_d
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("scale", [1e-100, 1e-8, 1.0, 1e8, 1e100])
+    def test_matches_definition(self, rng, shape, scale):
+        for zeros in (0.0, 0.5, 0.9):
+            sc, gamma_g, gamma_d = self.draw(rng, shape, scale, zeros)
+            assert_same_bits(pair_results(sc, gamma_g, gamma_d),
+                             definition_pair(sc, gamma_g, gamma_d))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_zero(self, shape):
+        z = np.zeros(shape + (3, 3, 3))
+        got = pair_results(geometry.StructureConstants(z), z, z)
+        assert_same_bits(got, definition_pair(geometry.StructureConstants(z), z, z))
+        for value in got.values():
+            assert not np.signbit(value).any()  # +0 everywhere, as the einsums give
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_overflow(self, rng, shape, scale):
+        # products overflow to inf and their differences to NaN, in the
+        # same entries on both paths
+        sc, gamma_g, gamma_d = self.draw(rng, shape, scale, zeros=0.3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pair_results(sc, gamma_g, gamma_d)
+            want = definition_pair(sc, gamma_g, gamma_d)
+        assert not np.isfinite(want["curvature_D"]).all()
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_c_contiguous(self, rng, shape):
+        # a strided grid would change the summation order of curv_norm_sq
+        # and of the Frobenius sums of Ric_0
+        data, rd = geometry.curvature_pair(*self.draw(rng, shape, 1.0))
+        for grid in (data.riemann.entries, data.ricci, rd.entries):
+            assert grid.flags.c_contiguous
+
+    def test_broadcast_batch(self, rng):
+        # one model for a batch of torsion connections
+        sc, gamma_g, _ = self.draw(rng, (), 1.0)
+        gamma_d = gamma_g + rng.normal(size=(5, 3, 3, 3))
+        got = pair_results(sc, gamma_g, gamma_d)
+        for n in range(5):
+            single = pair_results(sc, gamma_g, gamma_d[n])
+            assert_same_bits({k: v[n] for k, v in got.items()}, single)
+
+    def test_curvature_unchanged(self, rng):
+        # the pair gives what curvature and torsion.curvature_D give
+        sc, gamma_g, gamma_d = self.draw(rng, (16,), 1.0)
+        data, rd = geometry.curvature_pair(sc, gamma_g, gamma_d)
+        ref = geometry.curvature(sc, gamma_g)
+        np.testing.assert_array_equal(data.riemann.entries, ref.riemann.entries)
+        np.testing.assert_array_equal(data.ricci, ref.ricci)
+        np.testing.assert_array_equal(data.scalar, ref.scalar)
+        np.testing.assert_array_equal(rd.entries, geometry.curvature(sc, gamma_d).riemann.entries)

@@ -443,12 +443,15 @@ class TestFullReport:
 
     def test_geometry_derived_once(self, monkeypatch):
         # full_report and classify share the scenario's cached connection,
-        # R^g and R^D: one Levi-Civita, two curvatures, one contorsion
+        # R^g and R^D: one Levi-Civita, one pass for both curvatures, one
+        # contorsion
         calls = Counter()
         for module, name in [
             (geometry, "levi_civita"),
             (geometry, "curvature"),
+            (geometry, "curvature_pair"),
             (torsion, "contorsion_coefficients"),
+            (torsion, "curvature_D"),
         ]:
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
@@ -458,7 +461,7 @@ class TestFullReport:
         sc = skew_heisenberg_scenario()
         residuals.full_report(sc)
         constructors.classify(sc)
-        assert calls == {"levi_civita": 1, "curvature": 2, "contorsion_coefficients": 1}
+        assert calls == {"levi_civita": 1, "curvature_pair": 1, "contorsion_coefficients": 1}
 
     def test_each_term_once(self, monkeypatch):
         # one report and its identities: nabla phi once, and the Yang-Mills
