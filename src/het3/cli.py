@@ -15,9 +15,12 @@ The contorsion may alternatively be {"matrix": [[...], [...], [...]]}
 (row-major 3x3), with no other key.  Every number must be a finite JSON
 number, not a string or a boolean; a key that docs/scenario.schema.json does
 not name is rejected.  Exit codes: 0 = SOLUTION, 1 = NOT_SOLUTION, 2 = input
-or parameter error.  The default residual tolerance is 1e-9 and can be
-overridden with --tol or the HET3_TOL environment variable; it must be
-positive and finite.
+or parameter error.  The commands raise, and ``main`` alone reports an error:
+one message on stderr and exit code 2, also for JSON nested too deeply, for
+an allocation past memory (a sweep of 10^13 points) and for a rejected value
+of any size (echoed shortened by ``reprlib.repr``).  The default residual
+tolerance is 1e-9 and can be overridden with --tol or the HET3_TOL
+environment variable; it must be positive and finite.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -125,7 +129,9 @@ def default_tolerance() -> float:
         try:
             return float(env)
         except ValueError as exc:
-            raise ScenarioFileError(f"HET3_TOL is not a number: {env!r}") from exc
+            raise ScenarioFileError(
+                f"HET3_TOL is not a number: {reprlib.repr(env)}"
+            ) from exc
     return residuals.DEFAULT_TOL
 
 
@@ -154,7 +160,7 @@ def _numbers(value, shape: tuple) -> bool:
 def _array(value, where: str, shape: tuple = ()) -> np.ndarray:
     if not _numbers(value, shape):
         what = f"numbers of shape {shape}" if shape else "a number"
-        raise ScenarioFileError(f"{where} must be {what}, got {value!r}")
+        raise ScenarioFileError(f"{where} must be {what}, got {reprlib.repr(value)}")
     try:
         return np.array(value, dtype=float)
     except OverflowError as exc:  # an integer literal past the float range
@@ -172,7 +178,7 @@ def _check_fields(obj: dict, required: tuple, optional: tuple, where: str) -> No
             raise ScenarioFileError(f"{where}missing required field {key!r}")
     for key in obj:
         if key not in required and key not in optional:
-            raise ScenarioFileError(f"{where}unknown field {key!r}")
+            raise ScenarioFileError(f"{where}unknown field {reprlib.repr(key)}")
 
 
 def parse_scenario(doc: dict) -> residuals.SolitonScenario:
@@ -247,11 +253,25 @@ def load_scenario(path: str) -> residuals.SolitonScenario:
             doc = json.load(f)
     except OSError as exc:
         raise ScenarioFileError(f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioFileError(f"{path}: JSON nested too deeply") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
         raise ScenarioFileError(f"{path}: {exc}") from exc
     return parse_scenario(doc)
+
+
+def write_output(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ScenarioFileError(f"cannot write {path}: {exc}") from exc
 
 
 def scenario_to_doc(built: constructors.ConstructedSoliton) -> dict:
@@ -355,26 +375,17 @@ def cmd_construct(args) -> int:
     try:
         built = build(args)
     except OutOfWindow as exc:
-        print(f"error: {exc}", file=sys.stderr)
         try:
             low, high = constructors.scalar_window(args.kappa)
             window = f"({low:g}, {high:g})"
         except Het3Error:  # -24/kappa overflows: every negative s_g is inside
             window = "s_g < 0"
-        print(f"admissible s_g window for kappa={args.kappa:g}: {window}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ScenarioFileError(
+            f"{exc}\nadmissible s_g window for kappa={args.kappa:g}: {window}"
+        ) from exc
 
     # full precision: json writes each float as its shortest round-trip repr
-    payload = json.dumps(scenario_to_doc(built), indent=2) + "\n"
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as f:
-                f.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-    else:
-        sys.stdout.write(payload)
+    write_output(args.output, json.dumps(scenario_to_doc(built), indent=2) + "\n")
     name = "lambda" if built.family.startswith("heisenberg") else "a"
     print(
         f"family={built.family} alpha={fmt(built.alpha):.12g} "
@@ -393,17 +404,9 @@ _SWEEP_OUT = "%.12g,%.12g,,,,%s\n"
 
 def cmd_sweep(args) -> int:
     tol = tolerance(args.tol)
-    if args.points < 2:
-        print("error: --points must be at least 2", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        rows = constructors.sweep_window(
-            args.kappa, args.points, s_min=args.s_min, s_max=args.s_max, tol=tol
-        )
-    except Het3Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
+    rows = constructors.sweep_window(
+        args.kappa, args.points, s_min=args.s_min, s_max=args.s_max, tol=tol
+    )
     text = "s_g,kappa_s_g,alpha,h,residual_norm,verdict\n" + "".join(
         _SWEEP_OUT % (row.scalar, row.kappa_scalar, row.verdict)
         if row.alpha is None
@@ -411,15 +414,7 @@ def cmd_sweep(args) -> int:
                            row.residual_norm, row.verdict)
         for row in rows
     )
-    if args.csv:
-        try:
-            with open(args.csv, "w", encoding="utf-8", newline="\n") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-    else:
-        sys.stdout.write(text)
+    write_output(args.csv, text)
     return EXIT_SOLUTION
 
 
@@ -488,8 +483,8 @@ def main(argv=None) -> int:
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except (ScenarioFileError, Het3Error) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ScenarioFileError, Het3Error, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -40,6 +40,7 @@ import numpy as np
 from . import geometry, residuals, torsion
 from .errors import (
     DegeneratesToSkew,
+    InvalidSampleCount,
     NonNegativeScalar,
     NonPositiveKappa,
     OutOfWindow,
@@ -335,7 +336,7 @@ def sweep_window(
 ) -> list[SweepRow]:
     """Sample s_g across the admissible window (interior by default)."""
     if n_points < 2:
-        raise ValueError("n_points must be at least 2")
+        raise InvalidSampleCount("n_points must be at least 2")
     if s_min is None and s_max is None:
         low, high = scalar_window(kappa)
         # strictly interior grid of the open window

@@ -45,6 +45,10 @@ class DegeneratesToSkew(Het3Error):
     """Generic-reducible parameters collapse to gamma = 0 (pure skew torsion)."""
 
 
+class InvalidSampleCount(Het3Error, ValueError):
+    """A sweep needs at least two sample points."""
+
+
 class OutOfWindow(Het3Error):
     """kappa * s_g lies outside the admissible open interval (-24, 0)."""
 

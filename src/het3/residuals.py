@@ -253,6 +253,15 @@ def yang_mills_residual(sc: SolitonScenario) -> np.ndarray:
     )
 
 
+def _skew_alpha_ric0(sc: SolitonScenario) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and Ric_0 of a scenario with contorsion alpha g in every sample."""
+    ct = sc.contorsion
+    if not ct.is_pure_skew_torsion().all():
+        raise NotSkewTorsion("contorsion is not of the form alpha * g")
+    data = sc.curvature_g
+    return ct.trace_part, data.ricci - _per_grid(data.scalar / 3.0) * np.eye(3)
+
+
 def yang_mills_skew_path(sc: SolitonScenario) -> np.ndarray:
     """Skew-torsion specialization of the Yang-Mills residual.
 
@@ -260,12 +269,8 @@ def yang_mills_skew_path(sc: SolitonScenario) -> np.ndarray:
     d^{nabla} Ric(X) + 3 alpha * Ric_0(X) + R^g_{phi,X} + alpha^2 phi ^ X
     (the +3 alpha sign goes with the fixed 2-form action convention).
     """
-    ct = sc.contorsion
-    if not ct.is_pure_skew_torsion().all():
-        raise NotSkewTorsion("contorsion is not of the form alpha * g")
-    alpha = ct.trace_part
+    alpha, ric0 = _skew_alpha_ric0(sc)
     data = sc.curvature_g
-    ric0 = data.ricci - _per_grid(data.scalar / 3.0) * np.eye(3)
     dric = torsion.covariant_derivative(sc.connection.base, data.ricci)
     # row x: sum_j e_j x (nabla_{e_j} Ric)(e_x) + 3 alpha Ric_0(e_x)
     #        + R^g_{phi, e_x} + alpha^2 phi ^ e_x; row x of *phi is phi x e_x
@@ -308,13 +313,8 @@ def remark_identity_residual(sc: SolitonScenario) -> np.ndarray:
     Equals trace(einstein_residual) - trace_identity_residual.  Requires
     contorsion alpha g in every sample of a batch.
     """
-    ct = sc.contorsion
-    if not ct.is_pure_skew_torsion().all():
-        raise NotSkewTorsion("contorsion is not of the form alpha * g")
-    alpha = ct.trace_part
-    data = sc.curvature_g
-    ric0 = data.ricci - _per_grid(data.scalar / 3.0) * np.eye(3)
-    s = data.scalar
+    alpha, ric0 = _skew_alpha_ric0(sc)
+    s = sc.curvature_g.scalar
     return (
         2.0 * sc.kappa * (ric0 * ric0).sum(axis=(-2, -1))
         + 2.0 * sc.phi_sq

@@ -113,7 +113,6 @@ class TorsionConnection:
     """Levi-Civita coefficients plus the contorsion contribution."""
 
     base: np.ndarray
-    contorsion: Contorsion
     total: np.ndarray
 
 
@@ -134,7 +133,7 @@ def connection_with_torsion(
 ) -> TorsionConnection:
     """D = nabla^g + bbA over the given model."""
     base = geometry.levi_civita(sc)
-    return TorsionConnection(base=base, contorsion=ct, total=base + contorsion_coefficients(ct))
+    return TorsionConnection(base=base, total=base + contorsion_coefficients(ct))
 
 
 def covariant_derivative(gamma: np.ndarray, tensor) -> np.ndarray:

@@ -43,6 +43,22 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+def assert_one_error(captured):
+    """The shape of every exit-2 run: nothing on stdout, one error line and
+    no traceback on stderr."""
+    assert captured.out == ""
+    assert [line.startswith("error:") for line in captured.err.splitlines()].count(True) == 1
+    assert "Traceback" not in captured.err
+
+
+def nested(depth):
+    """A list nested depth deep, innermost empty."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
 class TestParseScenario:
     def test_valid_document(self):
         sc = cli.parse_scenario(SKEW_HEISENBERG_DOC)
@@ -156,7 +172,7 @@ class TestCheck:
             assert len(constructors.sweep_window(1.0, 16)) == 16
         assert calls == []
 
-    def test_tolerance_flag_and_env(self, tmp_path, monkeypatch):
+    def test_tolerance_flag_and_env(self, tmp_path, monkeypatch, capsys):
         doc = dict(SKEW_HEISENBERG_DOC)
         doc["h"] = 1.0001  # tiny miss
         path = write_doc(tmp_path, doc)
@@ -166,6 +182,9 @@ class TestCheck:
         assert cli.main(["check", path]) == 0
         monkeypatch.setenv("HET3_TOL", "banana")
         assert cli.main(["check", path]) == 2
+        monkeypatch.setenv("HET3_TOL", "banana" * 20000)  # echoed shortened
+        assert cli.main(["check", path]) == 2
+        assert len(capsys.readouterr().err.splitlines()[-1]) < 200
 
     @pytest.mark.parametrize(
         "mutation, key, value",
@@ -177,6 +196,11 @@ class TestCheck:
             # JSON numbers past the float range
             pytest.param("h_huge_integer", "h", 10**400, id="h_huge_integer"),
             pytest.param("phi_huge_integer", "phi", [0, 0, 10**400], id="phi_huge_integer"),
+            # echoed shortened, not in full
+            pytest.param("phi_huge_list", "phi", [0.0] * 100000, id="phi_huge_list"),
+            pytest.param("phi_nested", "phi", nested(900), id="phi_nested"),
+            pytest.param("h_huge_unknown_key", "h_" + "x" * 100000, 1.0,
+                         id="huge_unknown_key"),
         ],
     )
     def test_malformed_value_exit_two(self, tmp_path, capsys, mutation, key, value):
@@ -184,19 +208,24 @@ class TestCheck:
         doc[key] = value
         path = write_doc(tmp_path, doc, f"{mutation}.json")
         assert cli.main(["check", path]) == 2
-        assert key.split("_")[0] in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert_one_error(captured)
+        assert key.split("_")[0] in captured.err
+        assert len(captured.err.replace(path, "").encode()) < 200
 
     @pytest.mark.parametrize(
         "text",
-        [b"\xff\xfe{}", b'{"h": ' + b"1" * 5000 + b"}"],
-        ids=["not_utf8", "integer_past_digit_limit"],
+        [b"\xff\xfe{}", b'{"h": ' + b"1" * 5000 + b"}",
+         b"[" * 995 + b"]" * 995, b"[" * 100000 + b"]" * 100000],
+        ids=["not_utf8", "integer_past_digit_limit", "nested_995", "nested_100000"],
     )
     def test_unreadable_document_exit_two(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.json"
         path.write_bytes(text)
         assert cli.main(["check", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        assert_one_error(captured)
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("command", ["check", "classify"])
     def test_nan_jacobi_defect_exit_two(self, tmp_path, capsys, command):
@@ -270,12 +299,6 @@ class TestConstruct:
         assert "h=3.46410161514" in err
         assert cli.main(["check", str(out)]) == 0
 
-    def test_out_of_window(self, capsys):
-        code = cli.main(["construct", "hyperbolic", "--kappa", "1", "--scalar", "-24"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "(-24, 0)" in err
-
     def test_out_of_window_tiny_kappa(self, capsys):
         # -24/kappa overflows: the hint names no infinite end
         code = cli.main(["construct", "hyperbolic", "--kappa", "1e-308", "--scalar", "1"])
@@ -325,12 +348,6 @@ class TestConstruct:
             argv.append(f"--scalar={kappa_scalar / kappa!r}")
         assert cli.main(argv) == 0
         assert cli.main(["check", out]) == 0
-
-    def test_unwritable_output_exit_two(self, tmp_path, capsys):
-        out = str(tmp_path / "no_such_dir" / "sc.json")
-        assert cli.main(["construct", "boundary", "--kappa", "1", "-o", out]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(f"error: cannot write {out}")
 
     def test_missing_scalar(self):
         assert cli.main(["construct", "hyperbolic", "--kappa", "1"]) == 2
@@ -383,9 +400,6 @@ class TestSweep:
         assert cli.main(base + ["--s-min", "-3e-05"]) == 0
         assert capsys.readouterr().out == joined
         assert joined.count("SOLUTION") == 3
-
-    def test_single_point_rejected(self, capsys):
-        assert cli.main(["sweep", "--kappa", "1", "--points", "1"]) == 2
 
     def test_explicit_range_at_tiny_kappa(self, capsys):
         # -24/kappa overflows, but a given range does not need it
@@ -542,7 +556,41 @@ def test_non_finite_argument_exit_two(capsys, argv):
     # a RuntimeWarning on the way is an error under the pytest settings
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert "must be finite" in captured.err and captured.out == ""
+    assert_one_error(captured)
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, raises, message",
+    [
+        (["sweep", "--kappa", "1", "--points", "1"], None,
+         "error: n_points must be at least 2\n"),
+        (["construct", "boundary", "--kappa", "1", "-o", "{tmp}/no_such_dir/sc.json"], None,
+         "error: cannot write {tmp}/no_such_dir/sc.json: "),
+        (["sweep", "--kappa", "1", "--points", "2", "--csv", "{tmp}/no_such_dir/w.csv"], None,
+         "error: cannot write {tmp}/no_such_dir/w.csv: "),
+        # the error line, then the window hint
+        (["construct", "hyperbolic", "--kappa", "1", "--scalar", "-24"], None,
+         "error: kappa*s_g = -24 outside the admissible window (-24, 0)\n"
+         "admissible s_g window for kappa=1: (-24, 0)\n"),
+        # sweep_window stands in for an allocation past memory
+        (["sweep", "--kappa", "1", "--points", "10000000000000"],
+         MemoryError("Unable to allocate 72.8 TiB"), "error: Unable to allocate 72.8 TiB\n"),
+        (["sweep", "--kappa", "1", "--points", "2"], MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["sweep_one_point", "construct_unwritable_output", "sweep_unwritable_csv",
+         "construct_out_of_window", "sweep_memory_error", "bare_memory_error"],
+)
+def test_argument_error_exit_two(tmp_path, monkeypatch, capsys, argv, raises, message):
+    if raises is not None:
+        def sweep_window(*args, **kwargs):
+            raise raises
+        monkeypatch.setattr(constructors, "sweep_window", sweep_window)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert_one_error(captured)
+    assert captured.err.startswith(message.replace("{tmp}", str(tmp_path)))
 
 
 def test_version(capsys):
