@@ -17,9 +17,10 @@ number, not a string or a boolean; a key that docs/scenario.schema.json does
 not name is rejected.  Exit codes: 0 = SOLUTION, 1 = NOT_SOLUTION, 2 = input
 or parameter error.  The commands raise, and ``main`` alone reports an error:
 one message on stderr and exit code 2, also for JSON nested too deeply, for
-an allocation past memory (a sweep of 10^13 points) and for a rejected value
-of any size (echoed shortened by ``reprlib.repr``).  The default residual
-tolerance is 1e-9 and can be overridden with --tol or the HET3_TOL
+an allocation past memory (a sweep of 10^13 points), for a rejected value
+of any size (echoed shortened by ``reprlib.repr``) and for a failed write to
+stdout.  ``write_output`` is the one writer of output.  The residual
+tolerance DEFAULT_TOL can be overridden with --tol or the HET3_TOL
 environment variable; it must be positive and finite.
 """
 
@@ -38,7 +39,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from . import __version__, constructors, geometry, residuals, torsion
-from .errors import Het3Error, NonFiniteResidual, OutOfWindow
+from .errors import Het3Error, OutOfWindow
 
 # Python 3.13's pattern: older argparse reads "-3e-05" as an option, not a value
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
@@ -63,14 +64,9 @@ def _float_token(x: float) -> str:
     return float.__repr__(float("%.12g" % x))
 
 
-def fmt(x: float) -> float:
-    """Round a float to 12 significant digits for deterministic output."""
-    return float(_float_token(x))
-
-
 def _emit(obj, indent: str, out: list) -> None:
     """Append ``obj`` as json.dumps(..., indent=2) writes it at depth
-    ``indent``, with every float rounded as ``fmt`` rounds it."""
+    ``indent``, with every float rounded as ``_float_token`` rounds it."""
     if isinstance(obj, float):
         out.append(_float_token(obj))
     elif isinstance(obj, (list, tuple)):
@@ -113,8 +109,8 @@ def _emit(obj, indent: str, out: list) -> None:
 
 
 def dump_json(doc) -> str:
-    """A report document with every float rounded by ``fmt``, written in one
-    walk: the bytes that ``json.dumps`` with ``indent=2`` writes for the
+    """A report document with every float rounded by ``_float_token``, written in
+    one walk: the bytes that ``json.dumps`` with ``indent=2`` writes for the
     document with its floats rounded, without its pure-Python indenting
     encoder (CPython's C encoder does not indent)."""
     out: list = []
@@ -123,21 +119,15 @@ def dump_json(doc) -> str:
     return "".join(out)
 
 
-def default_tolerance() -> float:
-    env = os.environ.get("HET3_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ScenarioFileError(
-                f"HET3_TOL is not a number: {reprlib.repr(env)}"
-            ) from exc
-    return residuals.DEFAULT_TOL
-
-
 def tolerance(flag: float | None) -> float:
-    """--tol if given, else HET3_TOL, else the default; positive and finite."""
-    tol = flag if flag is not None else default_tolerance()
+    """--tol if given, else HET3_TOL, else DEFAULT_TOL; positive and finite."""
+    tol = flag
+    if tol is None:
+        env = os.environ.get("HET3_TOL")
+        try:
+            tol = residuals.DEFAULT_TOL if env is None else float(env)
+        except ValueError as exc:
+            raise ScenarioFileError(f"HET3_TOL is not a number: {reprlib.repr(env)}") from exc
     if not 0.0 < tol < math.inf:
         raise ScenarioFileError(f"tolerance must be positive and finite, got {tol!r}")
     return tol
@@ -262,16 +252,32 @@ def load_scenario(path: str) -> residuals.SolitonScenario:
     return parse_scenario(doc)
 
 
-def write_output(path: str | None, text: str) -> None:
-    """Write text to the file at path, or to stdout when path is None."""
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _discard_stdout() -> None:
+    """After a failed write, point stdout's descriptor, if it has one, at
+    os.devnull: else the flush at exit fails again (exit status 120)."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor: a StringIO
+        return
+    with open(os.devnull, "wb") as devnull:
+        os.dup2(devnull.fileno(), fd)
+
+
+def write_output(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout (flushed) when path is
+    None: the one writer of every command's output."""
+    where = "stdout" if path is None else path
+    try:
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as f:
+                f.write(text)
     except OSError as exc:
-        raise ScenarioFileError(f"cannot write {path}: {exc}") from exc
+        if path is None:
+            _discard_stdout()
+        raise ScenarioFileError(f"cannot write {where}: {exc}") from exc
 
 
 def scenario_to_doc(built: constructors.ConstructedSoliton) -> dict:
@@ -290,10 +296,10 @@ def scenario_to_doc(built: constructors.ConstructedSoliton) -> dict:
             "alpha": built.alpha,
             "beta": 0.0,
             "gamma": built.gamma,
-            "xi": [0.0, 0.0, 1.0],
+            "xi": constructors.AXIS.tolist(),
         },
         "h": built.h,
-        "phi": [0.0, 0.0, 0.0],
+        "phi": sc.phi.tolist(),
         "kappa": sc.kappa,
     }
 
@@ -338,13 +344,12 @@ def cmd_check(args) -> int:
     report = residuals.full_report(sc, tol=tol)
     classification = constructors.classify(sc)
     doc = report_doc(sc, report, classification)
-    if args.json:
-        sys.stdout.write(dump_json(doc))
-    else:
-        print(f"verdict: {report.verdict}  (tolerance {tol:g})")
-        for name, value in report.norms.items():
-            print(f"  {name:<14s} {value:.12g}")
-        print(f"  classification: {classification.kind}")
+    text = dump_json(doc) if args.json else "".join(
+        [f"verdict: {report.verdict}  (tolerance {tol:g})\n"]
+        + [f"  {name:<14s} {value:.12g}\n" for name, value in report.norms.items()]
+        + [f"  classification: {classification.kind}\n"]
+    )
+    write_output(None, text)
     return EXIT_SOLUTION if report.is_solution else EXIT_NOT_SOLUTION
 
 
@@ -388,9 +393,8 @@ def cmd_construct(args) -> int:
     write_output(args.output, json.dumps(scenario_to_doc(built), indent=2) + "\n")
     name = "lambda" if built.family.startswith("heisenberg") else "a"
     print(
-        f"family={built.family} alpha={fmt(built.alpha):.12g} "
-        f"gamma={fmt(built.gamma):.12g} {name}={fmt(built.model_parameter):.12g} "
-        f"h={fmt(built.h):.12g} s_g={fmt(built.scalar):.12g}",
+        f"family={built.family} alpha={built.alpha:.12g} gamma={built.gamma:.12g} "
+        f"{name}={built.model_parameter:.12g} h={built.h:.12g} s_g={built.scalar:.12g}",
         file=sys.stderr,
     )
     return EXIT_SOLUTION
@@ -419,16 +423,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    sc = load_scenario(args.path)
-    # eigh of an overflowed grid gives NaN or inf eigenvalues, not a kind
-    with np.errstate(over="ignore", invalid="ignore"):
-        ricci = sc.curvature_g.ricci
-    if not np.isfinite(ricci).all():
-        raise NonFiniteResidual(
-            "the Ricci tensor is not finite: the scenario overflows the float range"
-        )
-    verdict = constructors.classify(sc)
-    sys.stdout.write(dump_json(classification_doc(verdict)))
+    verdict = constructors.classify(load_scenario(args.path))
+    write_output(None, dump_json(classification_doc(verdict)))
     return EXIT_SOLUTION
 
 
@@ -442,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="evaluate all residuals of a scenario file")
     c.add_argument("path")
-    c.add_argument("--tol", type=float, default=None,
-                   help="residual tolerance (default 1e-9, env HET3_TOL)")
+    c.add_argument("--tol", type=float, default=None, help=(
+        f"residual tolerance (default {residuals.DEFAULT_TOL:g}, env HET3_TOL)"))
     c.add_argument("--json", action="store_true", help="emit the full JSON report")
 
     b = sub.add_parser("construct", help="build an exact soliton scenario")

@@ -46,8 +46,10 @@ from .errors import (
     OutOfWindow,
     ScenarioValidationError,
 )
+from .frame import _per_grid
 
 AXIS = np.array([0.0, 0.0, 1.0])
+AXIS_PROJECTOR = np.outer(AXIS, AXIS)  # xi (x) xi
 CLASSIFY_TOL = 1e-9  # eigenvalue equalities in classify
 
 HEISENBERG_GENERIC = "heisenberg-generic"
@@ -118,15 +120,10 @@ def _constructed(
                            model_parameter=model_parameter, kappa=kappa)
     shape = grid.shape[1:]
     alpha, gamma, h, scalar, model_parameter, kappa = grid if shape else grid.tolist()
-    if not np.count_nonzero(gamma):
-        contorsion = torsion.skew(alpha)
-    else:
-        contorsion = torsion.build_reducible(
-            torsion.ReducibleTorsionParams(alpha=alpha, beta=0.0, gamma=gamma, xi=AXIS)
-        )
+    contorsion = _per_grid(alpha) * np.eye(3) + _per_grid(gamma) * AXIS_PROJECTOR
     sc = residuals.SolitonScenario(
-        model=model(model_parameter), contorsion=contorsion, h=h, kappa=kappa,
-        phi=np.zeros(shape + (3,)),
+        model=model(model_parameter), contorsion=torsion.Contorsion(contorsion), h=h,
+        kappa=kappa, phi=np.zeros(shape + (3,)),
     )
     return ConstructedSoliton(sc, family, alpha, gamma, h, scalar, model_parameter)
 

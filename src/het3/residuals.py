@@ -56,7 +56,8 @@ expand-and-trace evaluation in another order only.
 
 A residual that overflows the float range fails the report with
 NonFiniteResidual, naming the first equation that is not finite, instead of
-turning into a verdict.
+turning into a verdict.  The scenario checks its own Ricci tensor likewise,
+once, where it computes it: the residuals, identities and classify share it.
 """
 
 from __future__ import annotations
@@ -144,9 +145,12 @@ class SolitonScenario:
 
     @cached_property
     def _curvatures(self) -> tuple[geometry.CurvatureData, CurvatureOperator]:
-        """R^g with its Ricci and scalar curvature, and R^D, in one pass."""
+        """R^g, its Ricci (checked finite) and scalar curvature, and R^D, in one pass."""
         conn = self.connection
-        return geometry.curvature_pair(self.model, conn.base, conn.total)
+        with np.errstate(**_OVERFLOW_QUIET):
+            pair = geometry.curvature_pair(self.model, conn.base, conn.total)
+        _finite("Ricci tensor", pair[0].ricci)
+        return pair
 
     @cached_property
     def curvature_g(self) -> geometry.CurvatureData:
@@ -328,11 +332,11 @@ def _worst(norms: dict) -> np.ndarray:
     return np.maximum.reduce(list(norms.values()))
 
 
-def _finite(name: str, value: np.ndarray) -> np.ndarray:
+def _finite(what: str, value: np.ndarray) -> np.ndarray:
     """``value``, once every entry is finite; otherwise NonFiniteResidual."""
     if not np.isfinite(value).all():
         raise NonFiniteResidual(
-            f"the {name} residual is not finite: the scenario overflows the float range"
+            f"the {what} is not finite: the scenario overflows the float range"
         )
     return value
 
@@ -370,7 +374,7 @@ class ResidualReport:
     def trace_identity(self) -> np.ndarray:
         """``trace_identity_residual`` of the scenario."""
         with np.errstate(**_OVERFLOW_QUIET):
-            return _finite("trace identity", trace_identity_residual(self.scenario))
+            return _finite("trace identity residual", trace_identity_residual(self.scenario))
 
     @cached_property
     def remark_identity(self) -> np.ndarray | None:
@@ -378,9 +382,10 @@ class ResidualReport:
         otherwise None."""
         try:
             with np.errstate(**_OVERFLOW_QUIET):
-                return _finite("remark identity", remark_identity_residual(self.scenario))
+                remark = remark_identity_residual(self.scenario)
         except NotSkewTorsion:
             return None
+        return _finite("remark identity residual", remark)
 
 
 def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -408,7 +413,7 @@ def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport
     worst = _worst(norms)
     if not np.isfinite(worst).all():
         for name, norm in norms.items():
-            _finite(name, norm)
+            _finite(f"{name} residual", norm)
     # [()] turns the 0-d array of a single scenario into a string
     verdict = np.where(worst <= tol, "SOLUTION", "NOT_SOLUTION")[()]
     return ResidualReport(

@@ -2,13 +2,18 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import het3
 from het3 import cli, constructors, frame, residuals
 
 SKEW_HEISENBERG_DOC = {
@@ -21,7 +26,7 @@ SKEW_HEISENBERG_DOC = {
 
 
 def reference_fmt(x):
-    """12 significant digits, zero unsigned: what cli.fmt returns."""
+    """12 significant digits, zero unsigned: the float dump_json writes."""
     return 0.0 if x == 0 else float(f"{x:.12g}")
 
 
@@ -593,6 +598,67 @@ def test_argument_error_exit_two(tmp_path, monkeypatch, capsys, argv, raises, me
     assert captured.err.startswith(message.replace("{tmp}", str(tmp_path)))
 
 
+class FailingStdout:
+    """A stdout with no file descriptor whose write, or only its flush, fails
+    as on a full disk."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        self._fail("write")
+        return len(text)
+
+    def flush(self):
+        self._fail("flush")
+
+    def _fail(self, call):
+        if call == self.failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# every command that writes its output to stdout, in both output modes
+STDOUT_ARGV = [
+    ["check", "{path}"],
+    ["check", "{path}", "--json"],
+    ["classify", "{path}"],
+    ["sweep", "--kappa", "1", "--points", "4"],
+    ["construct", "boundary", "--kappa", "1"],
+]
+STDOUT_IDS = ["check", "check_json", "classify", "sweep", "construct"]
+STDOUT_ERROR = "error: cannot write stdout: [Errno %d] %s\n" % (
+    errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", STDOUT_ARGV, ids=STDOUT_IDS)
+def test_stdout_write_error_exit_two(tmp_path, monkeypatch, capsys, argv, failing):
+    # a failed write is an input error, not a NOT_SOLUTION verdict
+    path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+    monkeypatch.setattr(sys, "stdout", FailingStdout(failing))
+    assert cli.main([arg.replace("{path}", path) for arg in argv]) == 2
+    assert capsys.readouterr().err == STDOUT_ERROR
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", STDOUT_ARGV, ids=STDOUT_IDS)
+def test_full_stdout_process_exit_two(tmp_path, argv):
+    # one error line and exit 2, also once the interpreter flushes stdout at
+    # exit: with a buffered stdout, as it is by default, a failed flush keeps
+    # its bytes, and the flush at exit fails again ("Exception ignored", 120)
+    path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+    src = os.path.dirname(os.path.dirname(het3.__file__))
+    path_list = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_list)))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "het3.cli"] + [arg.replace("{path}", path) for arg in argv],
+            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    assert (done.returncode, done.stderr) == (2, STDOUT_ERROR)
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
@@ -649,13 +715,6 @@ class TestDumpJson:
         sc = build(argparse.Namespace(kappa=0.37, scalar=-5.0, sign=1)).scenario
         doc = cli.report_doc(sc, residuals.full_report(sc), constructors.classify(sc))
         assert cli.dump_json(doc) == json.dumps(fmt_tree(doc), indent=2) + "\n"
-
-    def test_fmt(self):
-        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
-                  np.float64(-2.5e-17), 1 / 3, 123456789012.5, 1e16, -1e-5]
-        for x in values + list(np.random.default_rng(3).normal(size=200) * 1e5):
-            assert repr(cli.fmt(x)) == repr(reference_fmt(x))
-            assert type(cli.fmt(x)) is float
 
     def test_not_serializable(self):
         with pytest.raises(TypeError):

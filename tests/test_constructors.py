@@ -429,6 +429,35 @@ class TestBatchConstruction:
             assert report.worst[n] == max(single_report.norms.values())
             assert report.verdict[n] == single_report.verdict
 
+    @pytest.mark.parametrize(
+        "family, sign",
+        [(constructors.HEISENBERG_GENERIC, +1), (constructors.HEISENBERG_GENERIC, -1),
+         (constructors.HEISENBERG_SKEW, +1), (constructors.HYPERBOLIC, +1),
+         (constructors.BOUNDARY, +1)],
+    )
+    def test_contorsion_is_the_normal_form(self, family, sign):
+        # A = alpha g + gamma xi (x) xi in one expression: the bits, zero signs
+        # included, of build_reducible with beta = 0, and of skew at gamma = 0
+        build = {
+            constructors.HEISENBERG_GENERIC: lambda k: constructors.construct_generic_reducible(
+                k, -2.0 / k, sign
+            ),
+            constructors.HEISENBERG_SKEW: constructors.construct_skew_heisenberg,
+            constructors.HYPERBOLIC: lambda k: constructors.construct_hyperbolic_skew(k, -6.0 / k),
+            constructors.BOUNDARY: constructors.boundary_vanishing_torsion,
+        }[family]
+        for built in (build(DECADE_KAPPAS), *map(build, DECADE_KAPPAS.tolist())):
+            alphas, gammas = np.atleast_1d(built.alpha), np.atleast_1d(built.gamma)
+            grids = np.reshape(built.scenario.contorsion.a, (-1, 3, 3))
+            for a, alpha, gamma in zip(grids, alphas.tolist(), gammas.tolist()):
+                if gamma == 0.0:
+                    ref = torsion.skew(alpha).a
+                else:
+                    ref = torsion.build_reducible(torsion.ReducibleTorsionParams(
+                        alpha=alpha, beta=0.0, gamma=gamma, xi=constructors.AXIS)).a
+                np.testing.assert_array_equal(a, ref)
+                np.testing.assert_array_equal(np.signbit(a), np.signbit(ref))
+
     def test_one_construction_per_sweep(self, monkeypatch):
         calls = Counter()
         for module, name in [(constructors, "construct_hyperbolic_skew"),

@@ -1,13 +1,14 @@
 """Soliton system residuals: each equation, derived identities, full report."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import random_model
-from het3 import constructors, frame, geometry, residuals, torsion
+from het3 import cli, constructors, frame, geometry, residuals, torsion
 from het3.errors import (
     NonFiniteResidual,
     NonPositiveKappa,
@@ -495,6 +496,19 @@ class TestFullReport:
         )
         with pytest.raises(NonFiniteResidual, match="the einstein residual"):
             residuals.full_report(sc)
+
+    @pytest.mark.parametrize("read", [constructors.classify, residuals.full_report],
+                             ids=["classify", "full_report"])
+    def test_ricci_overflow_is_an_error(self, read):
+        # the scenario checks its own Ricci tensor, once for every reader: no
+        # kind from NaN eigenvalues, and no RuntimeWarning on the way
+        doc = {"structure_constants": [[1, 2, 3, 1e200]], "h": 1.0, "kappa": 1.0,
+               "contorsion": {"alpha": 0.5, "beta": 0.0, "gamma": 0.0, "xi": [0, 0, 1.0]}}
+        sc = cli.parse_scenario(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteResidual, match="^the Ricci tensor is not finite"):
+                read(sc)
 
     def test_non_skew_scenario_has_no_remark(self):
         sc = residuals.SolitonScenario(
