@@ -19,7 +19,9 @@ or parameter error.  The commands raise, and ``main`` alone reports an error:
 one message on stderr and exit code 2, also for JSON nested too deeply, for
 an allocation past memory (a sweep of 10^13 points), for a rejected value
 of any size (echoed shortened by ``reprlib.repr``) and for a failed write to
-stdout.  ``write_output`` is the one writer of output.  The residual
+stdout.  ``write_output`` is the one writer of output, ``_write_stderr``
+of diagnostics; a stdout closed at start is a failed write, and a line that
+stderr cannot take is dropped, with the exit code unchanged.  The residual
 tolerance DEFAULT_TOL can be overridden with --tol or the HET3_TOL
 environment variable; it must be positive and finite.
 """
@@ -34,6 +36,7 @@ import os
 import re
 import reprlib
 import sys
+from gettext import gettext
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -252,12 +255,12 @@ def load_scenario(path: str) -> residuals.SolitonScenario:
     return parse_scenario(doc)
 
 
-def _discard_stdout() -> None:
-    """After a failed write, point stdout's descriptor, if it has one, at
+def _discard(stream) -> None:
+    """After a failed write, point the stream's descriptor, if it has one, at
     os.devnull: else the flush at exit fails again (exit status 120)."""
     try:
-        fd = sys.stdout.fileno()
-    except (AttributeError, OSError, ValueError):  # no descriptor: a StringIO
+        fd = stream.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor: None, a StringIO
         return
     with open(os.devnull, "wb") as devnull:
         os.dup2(devnull.fileno(), fd)
@@ -267,6 +270,8 @@ def write_output(path: str | None, text: str) -> None:
     """Write text to the file at path, or to stdout (flushed) when path is
     None: the one writer of every command's output."""
     where = "stdout" if path is None else path
+    if path is None and sys.stdout is None:  # descriptor 1 closed at start
+        raise ScenarioFileError("cannot write stdout: it is closed")
     try:
         if path is None:
             sys.stdout.write(text)
@@ -276,8 +281,18 @@ def write_output(path: str | None, text: str) -> None:
                 f.write(text)
     except OSError as exc:
         if path is None:
-            _discard_stdout()
+            _discard(sys.stdout)
         raise ScenarioFileError(f"cannot write {where}: {exc}") from exc
+
+
+def _write_stderr(text: str) -> None:
+    """Write text to stderr, or drop it when stderr cannot take it: closed at
+    start (None) or on a descriptor that fails the write."""
+    try:
+        sys.stderr.write(text)
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        _discard(sys.stderr)
 
 
 def scenario_to_doc(built: constructors.ConstructedSoliton) -> dict:
@@ -392,16 +407,16 @@ def cmd_construct(args) -> int:
     # full precision: json writes each float as its shortest round-trip repr
     write_output(args.output, json.dumps(scenario_to_doc(built), indent=2) + "\n")
     name = "lambda" if built.family.startswith("heisenberg") else "a"
-    print(
+    _write_stderr(
         f"family={built.family} alpha={built.alpha:.12g} gamma={built.gamma:.12g} "
-        f"{name}={built.model_parameter:.12g} h={built.h:.12g} s_g={built.scalar:.12g}",
-        file=sys.stderr,
+        f"{name}={built.model_parameter:.12g} h={built.h:.12g} s_g={built.scalar:.12g}\n"
     )
     return EXIT_SOLUTION
 
 
 # One CSV line per sweep row, each float as "%.12g": no field can need
-# quoting.  An out-of-window row leaves alpha, h and residual_norm empty.
+# quoting.  An out-of-window row leaves alpha, h and residual_norm empty:
+# exactly its None fields.
 _SWEEP_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
 _SWEEP_OUT = "%.12g,%.12g,,,,%s\n"
 
@@ -411,14 +426,10 @@ def cmd_sweep(args) -> int:
     rows = constructors.sweep_window(
         args.kappa, args.points, s_min=args.s_min, s_max=args.s_max, tol=tol
     )
-    text = "s_g,kappa_s_g,alpha,h,residual_norm,verdict\n" + "".join(
-        _SWEEP_OUT % (row.scalar, row.kappa_scalar, row.verdict)
-        if row.alpha is None
-        else _SWEEP_ROW % (row.scalar, row.kappa_scalar, row.alpha, row.h,
-                           row.residual_norm, row.verdict)
-        for row in rows
-    )
-    write_output(args.csv, text)
+    # one template for the whole sweep, filled by one % from the flat fields
+    template = "".join(_SWEEP_OUT if row.alpha is None else _SWEEP_ROW for row in rows)
+    fields = tuple(value for row in rows for value in row if value is not None)
+    write_output(args.csv, "s_g,kappa_s_g,alpha,h,residual_norm,verdict\n" + template % fields)
     return EXIT_SOLUTION
 
 
@@ -464,6 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for parser in (p, *sub.choices.values()):
         parser._negative_number_matcher = _NEGATIVE_NUMBER
+    # name -> the parser of that command, the one argparse dispatches to
+    p.commands = dict(sub.choices)
     return p
 
 
@@ -473,14 +486,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """``_parser().parse_args(argv)`` in one pass when argv[0] names a
+    command: the rest goes straight to that command's parser, the one the
+    top-level parser would hand it to.  Anything else (--version, -h, a
+    missing or unknown command) goes through the top-level parser."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:  # reported by the top-level parser, as parse_args reports them
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     # by name at call time, so a handler replaced after the first call is seen
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
     except (ScenarioFileError, Het3Error, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _write_stderr(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_ERROR
 
 

@@ -46,7 +46,7 @@ from .errors import (
     OutOfWindow,
     ScenarioValidationError,
 )
-from .frame import _per_grid
+from .frame import IDENTITY, _per_grid
 
 AXIS = np.array([0.0, 0.0, 1.0])
 AXIS_PROJECTOR = np.outer(AXIS, AXIS)  # xi (x) xi
@@ -120,7 +120,7 @@ def _constructed(
                            model_parameter=model_parameter, kappa=kappa)
     shape = grid.shape[1:]
     alpha, gamma, h, scalar, model_parameter, kappa = grid if shape else grid.tolist()
-    contorsion = _per_grid(alpha) * np.eye(3) + _per_grid(gamma) * AXIS_PROJECTOR
+    contorsion = _per_grid(alpha) * IDENTITY + _per_grid(gamma) * AXIS_PROJECTOR
     sc = residuals.SolitonScenario(
         model=model(model_parameter), contorsion=torsion.Contorsion(contorsion), h=h,
         kappa=kappa, phi=np.zeros(shape + (3,)),

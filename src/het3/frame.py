@@ -41,6 +41,11 @@ _P, _Q = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 _DIAG = np.arange(3)
 
+# The metric g of the orthonormal frame, built once and read-only: the
+# kernels scale it per sample instead of building np.eye(3) on every call.
+IDENTITY = np.eye(3)
+IDENTITY.flags.writeable = False
+
 # Levi-Civita symbol eps_{ijk} = <e_i x e_j, e_k>.
 EPS = np.cross(np.eye(3)[:, None], np.eye(3))
 

@@ -98,9 +98,15 @@ def jacobi_defect(sc: StructureConstants) -> np.ndarray:
     c = sc.c
     # [[e_i,e_j],e_k] contributes c_{ijm} c_{mkl}
     t = np.einsum("...ijm,...mkl->...ijkl", c, c)
+    # the cyclic relabelings t[jkil] and t[kijl] as views of t: the views
+    # that einsum "...jkil->...ijkl" and "...kijl->...ijkl" return
+    n = t.ndim - 4
+    lead = tuple(range(n))
+    jki = t.transpose(lead + (n + 2, n, n + 1, n + 3))
+    kij = t.transpose(lead + (n + 1, n + 2, n, n + 3))
     # opposite overflows give inf - inf = NaN, which validate rejects
     with np.errstate(invalid="ignore"):
-        cyc = t + np.einsum("...jkil->...ijkl", t) + np.einsum("...kijl->...ijkl", t)
+        cyc = t + jki + kij
     return np.abs(cyc).max(axis=(-4, -3, -2, -1))
 
 
@@ -217,8 +223,9 @@ def curvature_pair(
     s = np.empty((3, 45, n))  # the sums over m of the three terms
     for start in range(0, n, _PAIR_CHUNK):
         cols = slice(start, start + _PAIR_CHUNK)
-        p = x[_LEFT, cols]
-        p *= x[_RIGHT, cols]
+        xc = x[:, cols]
+        p = xc.take(_LEFT, axis=0)
+        p *= xc.take(_RIGHT, axis=0)
         np.add(p[:, 0], p[:, 1], out=s[:, :, cols])
         s[:, :, cols] += p[:, 2]
     t, t_swapped, ct = s

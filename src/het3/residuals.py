@@ -78,6 +78,7 @@ from .frame import (
     _P,
     _Q,
     EPS,
+    IDENTITY,
     CurvatureOperator,
     _per_grid,
     as_vec,
@@ -232,7 +233,7 @@ def einstein_residual(sc: SolitonScenario) -> np.ndarray:
     return (
         sc.curvature_g.ricci
         + sc.nabla_phi
-        - _per_grid(0.5 * sc.h * sc.h) * np.eye(3)
+        - _per_grid(0.5 * sc.h * sc.h) * IDENTITY
         + _per_grid(sc.kappa) * curv_square(sc.curvature_D)
     )
 
@@ -263,7 +264,7 @@ def _skew_alpha_ric0(sc: SolitonScenario) -> tuple[np.ndarray, np.ndarray]:
     if not ct.is_pure_skew_torsion().all():
         raise NotSkewTorsion("contorsion is not of the form alpha * g")
     data = sc.curvature_g
-    return ct.trace_part, data.ricci - _per_grid(data.scalar / 3.0) * np.eye(3)
+    return ct.trace_part, data.ricci - _per_grid(data.scalar / 3.0) * IDENTITY
 
 
 def yang_mills_skew_path(sc: SolitonScenario) -> np.ndarray:
@@ -282,7 +283,7 @@ def yang_mills_skew_path(sc: SolitonScenario) -> np.ndarray:
         np.einsum("ajm,...jxm->...xa", EPS, dric)
         + _per_grid(3.0 * alpha) * np.swapaxes(ric0, -1, -2)
         + star_matrix(sc.phi)
-        @ (data.riemann.entries + _per_grid(alpha * alpha) * np.eye(3))
+        @ (data.riemann.entries + _per_grid(alpha * alpha) * IDENTITY)
     )
 
 

@@ -28,7 +28,16 @@ import numpy as np
 
 from . import geometry
 from .errors import NonUnitAxis
-from .frame import _P, _Q, CurvatureOperator, _per_grid, as_grid, as_vec, star_matrix
+from .frame import (
+    _P,
+    _Q,
+    IDENTITY,
+    CurvatureOperator,
+    _per_grid,
+    as_grid,
+    as_vec,
+    star_matrix,
+)
 
 UNIT_TOL = 1e-9
 SKEW_TOL = 1e-10  # Theta and zeta of a purely skew torsion A = alpha g
@@ -52,7 +61,7 @@ class Contorsion:
     def traceless_sym(self) -> np.ndarray:
         """Theta: traceless symmetric component."""
         sym = 0.5 * (self.a + self.a.swapaxes(-1, -2))
-        return sym - self.trace_part[..., None, None] * np.eye(3)
+        return sym - self.trace_part[..., None, None] * IDENTITY
 
     @property
     def skew_vector(self) -> np.ndarray:
@@ -69,7 +78,7 @@ class Contorsion:
         """
         a = self.a
         at = a.swapaxes(-1, -2)
-        theta = 0.5 * (a + at) - self.trace_part[..., None, None] * np.eye(3)
+        theta = 0.5 * (a + at) - self.trace_part[..., None, None] * IDENTITY
         off = np.maximum(np.abs(theta), np.abs(0.5 * (a - at)))
         return off.max(axis=(-2, -1)) <= SKEW_TOL
 
@@ -96,7 +105,7 @@ def build_reducible(params: ReducibleTorsionParams) -> Contorsion:
     """A = alpha g + beta *xi + gamma xi (x) xi."""
     xi = params.xi
     a = (
-        _per_grid(params.alpha) * np.eye(3)
+        _per_grid(params.alpha) * IDENTITY
         + _per_grid(params.beta) * star_matrix(xi)
         + _per_grid(params.gamma) * np.outer(xi, xi)
     )
@@ -105,7 +114,7 @@ def build_reducible(params: ReducibleTorsionParams) -> Contorsion:
 
 def skew(alpha) -> Contorsion:
     """Purely skew-symmetric torsion: A = alpha g; an array of alpha gives a batch."""
-    return Contorsion(_per_grid(alpha) * np.eye(3))
+    return Contorsion(_per_grid(alpha) * IDENTITY)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import het3
-from het3 import cli, constructors, frame, residuals
+from het3 import cli, constructors, errors, frame, residuals
 
 SKEW_HEISENBERG_DOC = {
     "structure_constants": [[1, 2, 3, 1.0]],
@@ -527,6 +528,108 @@ class TestParserOnce:
         assert cli.main(["check", path]) == 7
         assert seen == [path]
 
+    @pytest.mark.parametrize("argv, prog", [
+        (["sweep", "--kappa", "1", "--points", "2"], "het3 sweep"),
+        (["check", "{path}", "--json"], "het3 check"),
+        (["check", "{path}", "extra"], "het3 check"),
+        (["--version"], "het3"),
+        (["nope"], "het3"),
+    ])
+    def test_one_parse_per_call(self, tmp_path, monkeypatch, capsys, argv, prog):
+        # a command's arguments are parsed once, by the command's parser;
+        # anything else once, by the top-level parser
+        path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+        seen, parse = [], argparse.ArgumentParser.parse_known_args
+
+        def counting(parser, *args, **kwargs):
+            seen.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        try:
+            cli.main([arg.replace("{path}", path) for arg in argv])
+        except SystemExit:
+            pass
+        assert seen == [prog]
+
+
+def reference_main(argv):
+    """main with argparse's own dispatch: the top-level parse_args, which
+    hands a command's arguments to the command's parser, then the handler."""
+    args = cli._parser().parse_args(argv)
+    try:
+        return getattr(cli, f"cmd_{args.command}")(args)
+    except (cli.ScenarioFileError, errors.Het3Error, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return cli.EXIT_ERROR
+
+
+# argv -> what main must do as argparse's own dispatch does it
+DISPATCH_ARGV = {
+    "missing_command": [],
+    "unknown_command": ["nope", "{path}"],
+    "command_case": ["Check", "{path}"],
+    "version": ["--version"],
+    "help": ["-h"],
+    "help_then_command": ["-h", "check"],
+    "version_then_command": ["--version", "check", "{path}"],
+    "option_before_command": ["--tol", "1", "check", "{path}"],
+    "double_dash_before_command": ["--", "check", "{path}"],
+    "check_help": ["check", "-h"],
+    "sweep_help": ["sweep", "--help"],
+    "check_missing_path": ["check"],
+    "check_positional": ["check", "{path}", "extra"],
+    "construct_positional": ["construct", "boundary", "--kappa", "1", "extra"],
+    "sweep_positionals": ["sweep", "--kappa", "1", "--points", "2", "extra", "more"],
+    "classify_positional": ["classify", "{path}", "extra"],
+    "check_option": ["check", "{path}", "--bogus"],
+    "construct_option": ["construct", "boundary", "--kappa", "1", "--bogus=1"],
+    "sweep_option": ["sweep", "--kappa", "1", "--points", "2", "-x", "--y"],
+    "classify_option": ["classify", "{path}", "--json"],
+    "check_version": ["check", "{path}", "--version"],
+    "sweep_version": ["sweep", "--kappa", "1", "--points", "2", "--version"],
+    "construct_version": ["construct", "--version"],
+    "abbreviation": ["sweep", "--kap", "1", "--points", "3"],
+    "check_abbreviation": ["check", "{path}", "--js"],
+    "ambiguous_abbreviation": ["sweep", "--kappa", "1", "--points", "3", "--s", "-1"],
+    "negative_value": ["sweep", "--kappa", "-1e-3", "--points", "2"],
+    "negative_scalar": ["construct", "hyperbolic", "--kappa", "1", "--scalar", "-6"],
+    "equals_form": ["sweep", "--kappa", "1", "--points", "4", "--s-min=-5"],
+    "negative_range": ["sweep", "--kappa", "1", "--points", "4", "--s-min", "-5",
+                       "--s-max", "-1"],
+    "bad_float": ["sweep", "--kappa", "one", "--points", "2"],
+    "bad_int": ["sweep", "--kappa", "1", "--points", "2.5"],
+    "bad_sign": ["construct", "heisenberg-generic", "--kappa", "1", "--scalar=-1",
+                 "--sign", "2"],
+    "bad_family": ["construct", "nope", "--kappa", "1"],
+    "missing_required": ["sweep", "--kappa", "1"],
+    "missing_value": ["construct", "boundary", "--kappa"],
+    "double_dash_path": ["check", "--", "{path}"],
+    "double_dash_extra": ["sweep", "--kappa", "1", "--points", "2", "--", "x"],
+    "bad_tolerance": ["check", "{path}", "--tol", "0"],
+    "check": ["check", "{path}"],
+    "check_json": ["check", "{path}", "--tol=1e-6", "--json"],
+    "classify": ["classify", "{path}"],
+    "construct": ["construct", "heisenberg-generic", "--kappa", "2", "--scalar=-3",
+                  "--sign", "-1"],
+    "sweep": ["sweep", "--points", "3", "--kappa", "1", "--s-max=-1", "--tol", "1e-6"],
+}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV.values(), ids=DISPATCH_ARGV.keys())
+def test_dispatch_matches_argparse(tmp_path, capsys, argv):
+    path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+    argv = [arg.replace("{path}", path) for arg in argv]
+    outcomes = []
+    for run in (cli.main, reference_main):
+        try:
+            code = run(list(argv))
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -647,16 +750,70 @@ def test_full_stdout_process_exit_two(tmp_path, argv):
     # exit: with a buffered stdout, as it is by default, a failed flush keeps
     # its bytes, and the flush at exit fails again ("Exception ignored", 120)
     path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+    with open("/dev/full", "w") as full:
+        done = run_process([arg.replace("{path}", path) for arg in argv],
+                           stdout=full, stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (2, STDOUT_ERROR)
+
+
+def run_process(argv, redirect="", **streams):
+    """``python -m het3.cli argv`` in a new process, stdout buffered as by
+    default; sh applies ``redirect`` (such as ">&-") to the command."""
     src = os.path.dirname(os.path.dirname(het3.__file__))
     path_list = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_list)))
     env.pop("PYTHONUNBUFFERED", None)
-    with open("/dev/full", "w") as full:
-        done = subprocess.run(
-            [sys.executable, "-m", "het3.cli"] + [arg.replace("{path}", path) for arg in argv],
-            stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
-        )
-    assert (done.returncode, done.stderr) == (2, STDOUT_ERROR)
+    command = [sys.executable, "-m", "het3.cli"] + argv
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh"] + command
+    return subprocess.run(command, env=env, text=True, timeout=60, **streams)
+
+
+needs_sh = pytest.mark.skipif(shutil.which("sh") is None, reason="no sh")
+
+
+@needs_sh
+@pytest.mark.parametrize("argv", STDOUT_ARGV, ids=STDOUT_IDS)
+def test_closed_stdout_process_exit_two(tmp_path, argv):
+    # descriptor 1 closed at start: Python sets sys.stdout to None
+    path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+    done = run_process([arg.replace("{path}", path) for arg in argv], ">&-",
+                       stderr=subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (2, "error: cannot write stdout: it is closed\n")
+
+
+# a stderr that cannot take the error line: closed at start (sys.stderr is
+# None), or open for reading only (every write fails)
+UNWRITABLE_STDERR = pytest.mark.parametrize(
+    "stderr", ["2>&-", "2</dev/null"], ids=["closed", "read_only"])
+
+
+@needs_sh
+@UNWRITABLE_STDERR
+@pytest.mark.parametrize("argv, stdout", [
+    (["check", "{tmp}/missing.json"], ""),
+    (["check", "{tmp}/missing.json"], ">/dev/full"),
+    (["check", "{tmp}/scenario.json", "--json"], ">/dev/full"),
+], ids=["missing_file", "missing_file_full_stdout", "full_stdout"])
+def test_unwritable_stderr_process_exit_two(tmp_path, argv, stdout, stderr):
+    # the error line is dropped, and the exit code is still 2
+    if stdout and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+    done = run_process([arg.replace("{tmp}", str(tmp_path)) for arg in argv],
+                       f"{stdout} {stderr}", stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout) == (2, "")
+
+
+@needs_sh
+@UNWRITABLE_STDERR
+def test_unwritable_stderr_construct(capsys, stderr):
+    # the summary line is dropped, not written to stdout after the scenario
+    assert cli.main(["construct", "boundary", "--kappa", "1"]) == 0
+    scenario = capsys.readouterr().out
+    done = run_process(["construct", "boundary", "--kappa", "1"], stderr,
+                       stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout) == (0, scenario)
 
 
 def test_version(capsys):

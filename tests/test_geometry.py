@@ -48,6 +48,53 @@ class TestValidate:
         )
 
 
+def einsum_jacobi_defect(c):
+    """jacobi_defect with the two cyclic relabelings written as einsums."""
+    t = np.einsum("...ijm,...mkl->...ijkl", c, c)
+    cyc = t + np.einsum("...jkil->...ijkl", t) + np.einsum("...kijl->...ijkl", t)
+    return np.abs(cyc).max(axis=(-4, -3, -2, -1))
+
+
+class TestJacobiDefect:
+    """The transposed views of jacobi_defect against the einsum relabelings,
+    bit for bit, on grids that need not be antisymmetric."""
+
+    @staticmethod
+    def draw(rng, shape, scale, specials):
+        """Random grids with a share of entries replaced by ``specials``."""
+        c = rng.normal(size=shape + (3, 3, 3)) * scale
+        mask = rng.random(c.shape) < 0.3
+        return np.where(mask, rng.choice(specials, size=c.shape), c)
+
+    @staticmethod
+    def assert_same(c):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = geometry.jacobi_defect(geometry.StructureConstants(c))
+            want = einsum_jacobi_defect(c)
+        np.testing.assert_array_equal(got, want, strict=True)
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 4), (1024,)])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e8, 1e150])
+    def test_signed_zeros(self, rng, shape, scale):
+        self.assert_same(self.draw(rng, shape, scale, [0.0, -0.0]))
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 4), (1024,)])
+    def test_non_finite(self, rng, shape):
+        # inf * 0 and inf - inf give NaN, which both forms propagate alike
+        for scale in (1e-150, 1.0, 1e150):
+            c = self.draw(rng, shape, scale, [0.0, -0.0, np.inf, -np.inf, np.nan])
+            self.assert_same(c)
+
+    def test_a_mutated_form_fails(self, rng):
+        # the comparison can see a relabeling that is not cyclic
+        c = self.draw(rng, (16,), 1.0, [0.0, -0.0])
+        t = np.einsum("...ijm,...mkl->...ijkl", c, c)
+        swapped = np.abs(t + np.einsum("...jkil->...ijkl", t)
+                         + np.einsum("...jikl->...ijkl", t)).max(axis=(-4, -3, -2, -1))
+        assert not np.array_equal(geometry.jacobi_defect(geometry.StructureConstants(c)),
+                                  swapped)
+
+
 class TestLeviCivita:
     def test_abelian_flat(self):
         assert np.all(geometry.levi_civita(geometry.abelian()) == 0.0)
