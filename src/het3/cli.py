@@ -42,7 +42,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 import numpy as np
 
 from . import __version__, constructors, geometry, residuals, torsion
-from .errors import Het3Error, OutOfWindow
+from .errors import Het3Error
 
 # Python 3.13's pattern: older argparse reads "-3e-05" as an option, not a value
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
@@ -61,7 +61,7 @@ def _float_token(x: float) -> str:
     """x rounded to 12 significant digits (zero unsigned), written as
     json.dumps writes a float."""
     if not math.isfinite(x):
-        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+        return json.dumps(x)
     if x == 0:
         return "0.0"
     return float.__repr__(float("%.12g" % x))
@@ -69,13 +69,11 @@ def _float_token(x: float) -> str:
 
 def _emit(obj, indent: str, out: list) -> None:
     """Append ``obj`` as json.dumps(..., indent=2) writes it at depth
-    ``indent``, with every float rounded as ``_float_token`` rounds it."""
+    ``indent``, with every float rounded as ``_float_token`` rounds it; a leaf
+    that no report holds (bool, int, empty container) goes to json.dumps."""
     if isinstance(obj, float):
         out.append(_float_token(obj))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
+    elif isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
         head = "[\n" + inner
         for item in obj:
@@ -86,10 +84,7 @@ def _emit(obj, indent: str, out: list) -> None:
                 _emit(item, inner, out)
             head = ",\n" + inner
         out.append("\n" + indent + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
+    elif isinstance(obj, dict) and obj:
         inner = indent + "  "
         head = "{\n" + inner
         for key, value in obj.items():
@@ -101,14 +96,8 @@ def _emit(obj, indent: str, out: list) -> None:
         out.append(_json_str(obj))
     elif obj is None:
         out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out.append(json.dumps(obj))
 
 
 def dump_json(doc) -> str:
@@ -392,18 +381,7 @@ def cmd_construct(args) -> int:
     build, needs_scalar = FAMILY_TABLE[args.family]
     if needs_scalar and args.scalar is None:
         raise ScenarioFileError("--scalar is required for this family")
-    try:
-        built = build(args)
-    except OutOfWindow as exc:
-        try:
-            low, high = constructors.scalar_window(args.kappa)
-            window = f"({low:g}, {high:g})"
-        except Het3Error:  # -24/kappa overflows: every negative s_g is inside
-            window = "s_g < 0"
-        raise ScenarioFileError(
-            f"{exc}\nadmissible s_g window for kappa={args.kappa:g}: {window}"
-        ) from exc
-
+    built = build(args)
     # full precision: json writes each float as its shortest round-trip repr
     write_output(args.output, json.dumps(scenario_to_doc(built), indent=2) + "\n")
     name = "lambda" if built.family.startswith("heisenberg") else "a"

@@ -205,7 +205,7 @@ def construct_hyperbolic_skew(kappa, scalar) -> ConstructedSoliton:
     kappa_scalar = _kappa_scalar(kappa, scalar)
     inside = in_window(kappa_scalar)
     if not inside.all():
-        raise OutOfWindow(_first(kappa_scalar, ~inside), WINDOW)
+        raise OutOfWindow(_first(kappa_scalar, ~inside), WINDOW, _first(kappa, ~inside))
     scalar = np.asarray(scalar, dtype=float)
     # strictly positive inside the open window, unless 48 h^2 / kappa
     # underflows (kappa = 1e200, s = -1e-200): then alpha_sq < 0, and the NaN
@@ -225,7 +225,7 @@ def boundary_vanishing_torsion(kappa) -> ConstructedSoliton:
     kappa may be an array."""
     _require_kappa(kappa)
     with np.errstate(over="ignore"):
-        scalar = -24.0 / np.asarray(kappa, dtype=float)
+        scalar = WINDOW[0] / np.asarray(kappa, dtype=float)
         a = np.sqrt(4.0 / kappa)
         h = np.sqrt(48.0 / kappa)
     return _constructed(BOUNDARY, geometry.hyperbolic_model, a,

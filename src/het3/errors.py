@@ -1,5 +1,7 @@
 """Exception hierarchy for the het3 engine."""
 
+import math
+
 
 class Het3Error(Exception):
     """Base class for all engine errors."""
@@ -50,12 +52,17 @@ class InvalidSampleCount(Het3Error, ValueError):
 
 
 class OutOfWindow(Het3Error):
-    """kappa * s_g lies outside the admissible open interval (-24, 0)."""
+    """kappa * s_g lies outside the admissible open interval (-24, 0); a
+    second line names the s_g window at kappa (s_g < 0 if -24/kappa overflows)."""
 
-    def __init__(self, kappa_s: float, window: tuple[float, float]):
+    def __init__(self, kappa_s: float, window: tuple[float, float], kappa: float):
         self.kappa_s = kappa_s
         self.window = window
+        self.kappa = kappa
+        low, high = window[0] / kappa, window[1] / kappa
+        s_window = f"({low:g}, {high:g})" if math.isfinite(low) else f"s_g < {high:g}"
         super().__init__(
             f"kappa*s_g = {kappa_s:g} outside the admissible window "
-            f"({window[0]:g}, {window[1]:g})"
+            f"({window[0]:g}, {window[1]:g})\n"
+            f"admissible s_g window for kappa={kappa:g}: {s_window}"
         )

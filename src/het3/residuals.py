@@ -297,7 +297,8 @@ def dilaton_residual(sc: SolitonScenario) -> np.ndarray:
 
 
 def maxwell_residual(sc: SolitonScenario) -> np.ndarray:
-    """Residual of d h = h phi; frame-constant h gives -h phi."""
+    """Residual of d h = h phi: -h phi for a frame-constant h > 0, so a
+    SOLUTION needs |phi| <= tol/h."""
     return -np.asarray(sc.h)[..., None] * sc.phi
 
 

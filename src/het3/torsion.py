@@ -23,6 +23,7 @@ Contorsions and connection coefficients accept leading batch axes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,25 +46,26 @@ SKEW_TOL = 1e-10  # Theta and zeta of a purely skew torsion A = alpha g
 
 @dataclass(frozen=True)
 class Contorsion:
-    """The tensor A of a metric connection D = nabla^g + *(A(.))."""
+    """The tensor A of a metric connection D = nabla^g + *(A(.)); its parts
+    tr(A)/3, Theta and zeta are cached on first read."""
 
     a: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_grid(self.a))
 
-    @property
+    @cached_property
     def trace_part(self) -> np.ndarray:
         """alpha' = Tr(A)/3."""
         return self.a.trace(axis1=-2, axis2=-1) / 3.0
 
-    @property
+    @cached_property
     def traceless_sym(self) -> np.ndarray:
         """Theta: traceless symmetric component."""
         sym = 0.5 * (self.a + self.a.swapaxes(-1, -2))
         return sym - self.trace_part[..., None, None] * IDENTITY
 
-    @property
+    @cached_property
     def skew_vector(self) -> np.ndarray:
         """zeta with skew(A) = *zeta."""
         k = 0.5 * (self.a - self.a.swapaxes(-1, -2))
@@ -71,16 +73,9 @@ class Contorsion:
 
     def is_pure_skew_torsion(self) -> np.ndarray:
         """True when A = alpha g up to SKEW_TOL, i.e. the torsion is a 3-form;
-        per sample.
-
-        Tests Theta and skew(A) = *zeta in one pass over the two grids: the
-        largest entry of skew(A) is the largest component of zeta.
-        """
-        a = self.a
-        at = a.swapaxes(-1, -2)
-        theta = 0.5 * (a + at) - self.trace_part[..., None, None] * IDENTITY
-        off = np.maximum(np.abs(theta), np.abs(0.5 * (a - at)))
-        return off.max(axis=(-2, -1)) <= SKEW_TOL
+        per sample: Theta and zeta both vanish.  A NaN entry fails."""
+        theta, zeta = np.abs(self.traceless_sym), np.abs(self.skew_vector)
+        return np.maximum(theta.max(axis=(-2, -1)), zeta.max(axis=-1)) <= SKEW_TOL
 
 
 @dataclass(frozen=True)

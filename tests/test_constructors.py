@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from het3 import constructors, geometry, residuals, torsion
 from het3.errors import (
@@ -132,6 +134,53 @@ class TestHyperbolicSkew:
             constructors.construct_hyperbolic_skew(1.0, 1.0)
         with pytest.raises(OutOfWindow):
             constructors.construct_hyperbolic_skew(2.0, -13.0)
+
+    @settings(max_examples=300)
+    @given(
+        st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0**e),
+        st.floats(min_value=-24.0, max_value=-1e-12, exclude_min=True),
+    )
+    def test_window_is_scale_free(self, kappa, t):
+        """At kappa s_g = t, kappa alpha^2 is a function of t alone:
+        12 kappa alpha^2 = sqrt(-96 t) + 2 t, whatever the decade of kappa.
+        (t stops at -1e-12: closer to 0, 48 h^2/kappa leaves the normal
+        float range at kappa = 1e8.)"""
+        scalar = t / kappa
+        # t / kappa can round onto -24: step s_g into the window, and read t
+        # as the window predicate reads it
+        while not constructors.in_window(kappa * scalar):
+            scalar = np.nextafter(scalar, 0.0)
+        t = kappa * scalar
+        built = constructors.construct_hyperbolic_skew(kappa, scalar)
+        root = math.sqrt(-96.0 * t)
+        # 12 kappa alpha^2 is about 24 + t near the boundary, computed as the
+        # difference of two terms near 48: within ~1e-14 of -24 it cancels to
+        # 0, the boundary family's alpha, instead of a positive alpha
+        assert built.alpha > 0.0 or 24.0 + t <= 1e-12
+        assert abs(12.0 * kappa * built.alpha**2 - (root + 2.0 * t)) <= 1e-12 * root
+
+    @given(st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0**e))
+    def test_out_of_window_names_the_s_g_window(self, kappa):
+        hint = f"admissible s_g window for kappa={kappa:g}: ({-24.0 / kappa:g}, 0)"
+        for t in (-24.0, 0.0, 1.0, -30.0):
+            scalar = t / kappa
+            # -24/kappa can round into the window: step s_g down until
+            # kappa s_g, as the predicate reads it, lies outside
+            while constructors.in_window(kappa * scalar):
+                scalar = np.nextafter(scalar, -np.inf)
+            with pytest.raises(OutOfWindow) as exc:
+                constructors.construct_hyperbolic_skew(kappa, scalar)
+            assert exc.value.kappa == kappa
+            assert str(exc.value).split("\n")[1] == hint
+
+    def test_out_of_window_hint_when_the_window_overflows(self):
+        # -24/kappa overflows to -inf: every negative s_g is inside
+        with pytest.raises(OutOfWindow) as exc:
+            constructors.construct_hyperbolic_skew(1e-308, 1.0)
+        assert str(exc.value) == (
+            "kappa*s_g = 1e-308 outside the admissible window (-24, 0)\n"
+            "admissible s_g window for kappa=1e-308: s_g < 0"
+        )
 
     def test_scalar_window(self):
         assert constructors.scalar_window(1.0) == (-24.0, 0.0)

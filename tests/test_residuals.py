@@ -317,6 +317,17 @@ class TestScalarResiduals:
         )
         np.testing.assert_allclose(residuals.maxwell_residual(sc), [-0.2, 0.0, 0.0])
 
+    def test_maxwell_needs_phi_near_zero(self):
+        # a closed phi on the skew Heisenberg soliton: h |phi| alone fails it
+        sc = constructors.construct_skew_heisenberg(1.0).scenario
+        sc = residuals.SolitonScenario(
+            model=sc.model, contorsion=sc.contorsion, h=sc.h, kappa=sc.kappa,
+            phi=np.array([1e-3, 0.0, 0.0]),
+        )
+        report = residuals.full_report(sc)
+        assert report.verdict == "NOT_SOLUTION"
+        assert report.norms["maxwell"] == pytest.approx(sc.h * 1e-3, rel=1e-15)
+
     def test_trace_identity_values(self):
         assert residuals.trace_identity_residual(
             skew_heisenberg_scenario()

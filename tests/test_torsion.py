@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import model_corpus, random_model
-from het3 import frame, geometry, torsion
+from het3 import constructors, frame, geometry, torsion
 from het3.errors import NonUnitAxis
 
 grid3 = arrays(
@@ -95,6 +95,19 @@ class TestPureSkew:
         np.testing.assert_array_equal(got, self.reference(ct))
         if shape:
             assert 0 < got.sum() < n  # both outcomes occur
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (2, 1)])
+    def test_nan_entry_is_not_skew(self, i, j):
+        a = np.eye(3)
+        a[i, j] = np.nan
+        assert not torsion.Contorsion(a).is_pure_skew_torsion()
+
+    def test_parts_computed_once(self):
+        ct = torsion.Contorsion(np.eye(3))
+        assert ct.is_pure_skew_torsion()
+        assert ct.trace_part is ct.trace_part
+        assert ct.traceless_sym is ct.traceless_sym
+        assert ct.skew_vector is ct.skew_vector
 
 
 class TestBuildReducible:
@@ -216,6 +229,39 @@ class TestCovariantDerivative:
         eye = np.eye(3)
         for i in range(3):
             np.testing.assert_allclose(dxi[i], 0.5 * np.cross(eye[i], AXIS), atol=1e-14)
+
+
+# one kappa per decade of [1e-8, 1e8]
+DECADE_KAPPAS = 10.0 ** np.arange(-8, 9)
+
+
+class TestParallelTorsion:
+    """The theorem's hypothesis D A = 0 holds on every exact family."""
+
+    @pytest.mark.parametrize("build", [
+        lambda k: constructors.construct_generic_reducible(k, -2.0 / k, sign=+1),
+        lambda k: constructors.construct_generic_reducible(k, -2.0 / k, sign=-1),
+        constructors.construct_skew_heisenberg,
+        lambda k: constructors.construct_hyperbolic_skew(k, -6.0 / k),
+        constructors.boundary_vanishing_torsion,
+    ], ids=["generic+", "generic-", "heisenberg-skew", "hyperbolic", "boundary"])
+    def test_exact_families_are_parallel(self, build):
+        sc = build(DECADE_KAPPAS).scenario
+        da = torsion.covariant_derivative(sc.connection.total, sc.contorsion.a)
+        assert da.shape == (len(DECADE_KAPPAS), 3, 3, 3)
+        assert np.all(da == 0.0)
+
+    def test_parallel_under_d_not_under_levi_civita(self):
+        sc = constructors.construct_generic_reducible(1.0, -2.0).scenario
+        nabla_a = torsion.covariant_derivative(sc.connection.base, sc.contorsion.a)
+        assert np.abs(nabla_a).max() == 1.0
+
+    def test_perturbed_contorsion_is_not_parallel(self):
+        sc = constructors.construct_hyperbolic_skew(1.0, -6.0).scenario
+        ct = torsion.Contorsion(sc.contorsion.a + 0.1 * np.outer(AXIS, AXIS))
+        conn = torsion.connection_with_torsion(sc.model, ct)
+        da = torsion.covariant_derivative(conn.total, ct.a)
+        assert np.abs(da).max() == pytest.approx(0.1, rel=1e-12)
 
 
 class TestCurvatureD:
