@@ -111,6 +111,48 @@ def dump_json(doc) -> str:
     return "".join(out)
 
 
+# A report layout is the text dump_json writes for a report whose every float
+# and string leaf is _LEAF, with each % doubled and each written _LEAF turned
+# into %s: the report is then the layout % the tokens of its leaves.  A layout
+# holds for every report of its shape (which of remark_identity and
+# simple_axis are null); cmd_check builds each on first use.
+_LEAF = "\0"
+_LAYOUTS: dict = {}
+
+
+def _marked(obj):
+    """obj with every leaf but None replaced by _LEAF."""
+    if isinstance(obj, dict):
+        return {key: _marked(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_marked(value) for value in obj]
+    return None if obj is None else _LEAF
+
+
+def _leaf_tokens(obj, out: list) -> list:
+    """Append the tokens of obj's float and string leaves, in document order,
+    as dump_json writes them; obj holds dicts, lists, floats, strings and None."""
+    for value in obj.values() if isinstance(obj, dict) else obj:
+        if isinstance(value, float):
+            out.append(_float_token(value))
+        elif isinstance(value, str):
+            out.append(_json_str(value))
+        elif value is not None:
+            _leaf_tokens(value, out)
+    return out
+
+
+def render_report(doc: dict) -> str:
+    """``dump_json(doc)`` for a ``report_doc``, from the layout of its shape."""
+    shape = (doc["residuals"]["remark_identity"] is None,
+             doc["classification"]["simple_axis"] is None)
+    layout = _LAYOUTS.get(shape)
+    if layout is None:
+        text = dump_json(_marked(doc)).replace("%", "%%")
+        layout = _LAYOUTS[shape] = text.replace(_json_str(_LEAF), "%s")
+    return layout % tuple(_leaf_tokens(doc, []))
+
+
 def tolerance(flag: float | None) -> float:
     """--tol if given, else HET3_TOL, else DEFAULT_TOL; positive and finite."""
     tol = flag
@@ -139,18 +181,29 @@ def _numbers(value, shape: tuple) -> bool:
     )
 
 
-def _array(value, where: str, shape: tuple = ()) -> np.ndarray:
+def _not_finite(where: str) -> ScenarioFileError:
+    return ScenarioFileError(f"{where} must be finite (no NaN or inf)")
+
+
+def _array(value, where: str, shape: tuple) -> np.ndarray:
     if not _numbers(value, shape):
-        what = f"numbers of shape {shape}" if shape else "a number"
-        raise ScenarioFileError(f"{where} must be {what}, got {reprlib.repr(value)}")
+        raise ScenarioFileError(
+            f"{where} must be numbers of shape {shape}, got {reprlib.repr(value)}"
+        )
     try:
         return np.array(value, dtype=float)
     except OverflowError as exc:  # an integer literal past the float range
-        raise ScenarioFileError(f"{where} must be finite (no NaN or inf)") from exc
+        raise _not_finite(where) from exc
 
 
 def _number(value, where: str) -> float:
-    return float(_array(value, where))
+    """A JSON number as the float that np.array(value, dtype=float) holds."""
+    if not _is_number(value):
+        raise ScenarioFileError(f"{where} must be a number, got {reprlib.repr(value)}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal past the float range
+        raise _not_finite(where) from exc
 
 
 def _check_fields(obj: dict, required: tuple, optional: tuple, where: str) -> None:
@@ -311,10 +364,8 @@ def scenario_to_doc(built: constructors.ConstructedSoliton) -> dict:
 def classification_doc(verdict: constructors.ClassificationVerdict) -> dict:
     return {
         "kind": verdict.kind,
-        "ricci_eigenvalues": [float(v) for v in verdict.ricci_eigenvalues],
-        "simple_axis": None
-        if verdict.simple_axis is None
-        else [float(v) for v in verdict.simple_axis],
+        "ricci_eigenvalues": verdict.ricci_eigenvalues.tolist(),
+        "simple_axis": None if verdict.simple_axis is None else verdict.simple_axis.tolist(),
     }
 
 
@@ -348,7 +399,7 @@ def cmd_check(args) -> int:
     report = residuals.full_report(sc, tol=tol)
     classification = constructors.classify(sc)
     doc = report_doc(sc, report, classification)
-    text = dump_json(doc) if args.json else "".join(
+    text = render_report(doc) if args.json else "".join(
         [f"verdict: {report.verdict}  (tolerance {tol:g})\n"]
         + [f"  {name:<14s} {value:.12g}\n" for name, value in report.norms.items()]
         + [f"  classification: {classification.kind}\n"]

@@ -876,3 +876,126 @@ class TestDumpJson:
     def test_not_serializable(self):
         with pytest.raises(TypeError):
             cli.dump_json({"a": object()})
+
+
+def layout_documents():
+    """Scenario documents that cover every report layout shape and both
+    verdicts: each family at two kappas, a perturbed skew Heisenberg member,
+    and a Milnor model with a symmetric, non-skew contorsion."""
+    docs = {}
+    for family, (build, _) in cli.FAMILY_TABLE.items():
+        for kappa in (0.37, 20.0):
+            args = argparse.Namespace(kappa=kappa, scalar=-5.0 / kappa, sign=1)
+            docs[f"{family}@{kappa}"] = cli.scenario_to_doc(build(args))
+    docs["perturbed"] = dict(SKEW_HEISENBERG_DOC, h=1.01)
+    docs["milnor"] = {
+        "structure_constants": [[2, 3, 1, 1.0], [1, 3, 2, 2.0], [1, 2, 3, 0.5]],
+        "contorsion": {"matrix": [[0.3, 0.1, 0.0], [0.1, 0.2, 0.0], [0.0, 0.0, 0.1]]},
+        "h": 1.0,
+        "kappa": 1.0,
+    }
+    return docs
+
+
+class TestReportLayout:
+    """check --json fills a per-shape layout; dump_json defines the bytes."""
+
+    @pytest.fixture
+    def paths(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_LAYOUTS", {})
+        return {name: write_doc(tmp_path, doc, f"{n}.json")
+                for n, (name, doc) in enumerate(layout_documents().items())}
+
+    def test_bytes_match_dump_json(self, paths, capsys):
+        codes, shapes = set(), set()
+        for _ in range(2):  # the first pass builds the layouts, the second reuses them
+            for name, path in paths.items():
+                code = cli.main(["check", path, "--json"])
+                sc = cli.load_scenario(path)
+                report = residuals.full_report(sc)
+                doc = cli.report_doc(sc, report, constructors.classify(sc))
+                assert capsys.readouterr().out == cli.dump_json(doc), name
+                codes.add(code)
+                shapes.add((doc["residuals"]["remark_identity"] is None,
+                            doc["classification"]["simple_axis"] is None))
+        assert codes == {0, 1}
+        assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_each_layout_built_once(self, paths, monkeypatch, capsys):
+        calls = []
+        dump = cli.dump_json
+
+        def counted(doc):
+            calls.append(doc)
+            return dump(doc)
+
+        monkeypatch.setattr(cli, "dump_json", counted)
+        for _ in range(3):
+            for path in paths.values():
+                assert cli.main(["check", path, "--json"]) in (0, 1)
+        capsys.readouterr()
+        assert len(calls) == len(cli._LAYOUTS) == 4
+
+    def test_percent_in_a_leaf(self, monkeypatch):
+        # a % inside a string leaf is a token, not a format directive
+        monkeypatch.setattr(cli, "_LAYOUTS", {})
+        sc = cli.parse_scenario(SKEW_HEISENBERG_DOC)
+        doc = cli.report_doc(sc, residuals.full_report(sc), constructors.classify(sc))
+        doc["tool_version"] = "1.0 %s %d 100%"
+        assert cli.render_report(doc) == cli.dump_json(doc)
+
+
+# (field path, the name its diagnostics use)
+NUMBER_FIELDS = [
+    (("h",), "h"),
+    (("kappa",), "kappa"),
+    (("contorsion", "alpha"), "contorsion.alpha"),
+    (("contorsion", "beta"), "contorsion.beta"),
+    (("contorsion", "gamma"), "contorsion.gamma"),
+    (("structure_constants", 0, 3), "structure_constants[0] value"),
+]
+
+
+def with_literal(path, literal):
+    """SKEW_HEISENBERG_DOC as JSON text with the field at path set to the
+    number literal (an integer past the float range cannot be a Python float)."""
+    doc = json.loads(json.dumps(SKEW_HEISENBERG_DOC))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "@"
+    return json.dumps(doc).replace('"@"', literal)
+
+
+class TestPlainFloats:
+    """Scalar fields parse straight to Python floats, as np.array parses them."""
+
+    @pytest.mark.parametrize("value", [2**53 + 1, 2**63, -(2**63), 2**64 + 1, 10**308,
+                                       -0.0, 5e-324, 7, 0.1])
+    @pytest.mark.parametrize("path, where", NUMBER_FIELDS, ids=[w for _, w in NUMBER_FIELDS])
+    def test_parses_as_numpy(self, monkeypatch, path, where, value):
+        seen = {}
+        number = cli._number
+
+        def spied(v, name):
+            seen[name] = number(v, name)
+            return seen[name]
+
+        monkeypatch.setattr(cli, "_number", spied)
+        try:
+            cli.parse_scenario(json.loads(with_literal(path, repr(value))))
+        except cli.ScenarioFileError:  # a valid number may still fail a later check
+            pass
+        expected = float(np.array(value, dtype=float))
+        assert type(seen[where]) is float
+        assert seen[where] == expected
+        assert math.copysign(1.0, seen[where]) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("path, where", NUMBER_FIELDS, ids=[w for _, w in NUMBER_FIELDS])
+    def test_past_the_float_range_exit_two(self, tmp_path, capsys, path, where):
+        file = tmp_path / "big.json"
+        file.write_text(with_literal(path, str(10**309)))
+        assert cli.main(["check", str(file), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert_one_error(captured)
+        assert captured.err == f"error: {where} must be finite (no NaN or inf)\n"
