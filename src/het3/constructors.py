@@ -207,13 +207,22 @@ def construct_hyperbolic_skew(kappa, scalar) -> ConstructedSoliton:
     if not inside.all():
         raise OutOfWindow(_first(kappa_scalar, ~inside), WINDOW, _first(kappa, ~inside))
     scalar = np.asarray(scalar, dtype=float)
-    # strictly positive inside the open window, unless 48 h^2 / kappa
-    # underflows (kappa = 1e200, s = -1e-200): then alpha_sq < 0, and the NaN
-    # alpha fails the tail's check
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.sqrt(-scalar / 6.0)
         h2 = -2.0 * scalar
-        alpha_sq = (np.sqrt(48.0 * h2 / kappa) - h2) / 12.0
+        r = np.sqrt(48.0 * h2 / kappa)
+        # 12 alpha^2 = r - h^2 = 2 h^2 (24 + kappa s_g) / (kappa (r + h^2)).
+        # The second form does not cancel next to the lower end of the
+        # window, where 24 + kappa s_g is exact, and is strictly positive
+        # inside it.  Where r underflows (kappa = 1e200, s = -1e-200) or
+        # overflows (kappa = 1e-300, s = -1e301), r - h^2 is negative or inf,
+        # and the NaN or inf alpha fails the tail's check.
+        accurate = (h2 <= r) & (r < np.inf)
+        alpha_sq = np.where(
+            accurate,
+            2.0 * h2 * (kappa_scalar - WINDOW[0]) / (12.0 * kappa * (r + h2)),
+            (r - h2) / 12.0,
+        )
         alpha = np.sqrt(alpha_sq)
         h = np.sqrt(h2)
     return _constructed(HYPERBOLIC, geometry.hyperbolic_model, a,

@@ -153,11 +153,17 @@ class TestHyperbolicSkew:
         t = kappa * scalar
         built = constructors.construct_hyperbolic_skew(kappa, scalar)
         root = math.sqrt(-96.0 * t)
-        # 12 kappa alpha^2 is about 24 + t near the boundary, computed as the
-        # difference of two terms near 48: within ~1e-14 of -24 it cancels to
-        # 0, the boundary family's alpha, instead of a positive alpha
-        assert built.alpha > 0.0 or 24.0 + t <= 1e-12
+        assert built.alpha > 0.0
         assert abs(12.0 * kappa * built.alpha**2 - (root + 2.0 * t)) <= 1e-12 * root
+
+    def test_alpha_next_to_the_lower_end(self):
+        # 12 alpha^2 = sqrt(48 h^2/kappa) - h^2 cancels to 0 one ulp inside
+        # kappa s_g = -24; the form 2 h^2 (24 + kappa s_g) / (kappa (r + h^2))
+        # keeps alpha^2 = (24 + t) / 12 + O((24 + t)^2) there (kappa = 1)
+        scalar = math.nextafter(-24.0, 0.0)
+        built = constructors.construct_hyperbolic_skew(1.0, scalar)
+        assert built.alpha == pytest.approx(math.sqrt((24.0 + scalar) / 12.0), rel=1e-12)
+        assert built.alpha == pytest.approx(1.7206e-8, rel=1e-4)
 
     @given(st.floats(min_value=-8.0, max_value=8.0).map(lambda e: 10.0**e))
     def test_out_of_window_names_the_s_g_window(self, kappa):
@@ -392,7 +398,8 @@ def separate_construction(family, kappa, sign=+1):
         scalar = -6.0 / kappa
         a = math.sqrt(-scalar / 6.0)
         h2 = -2.0 * scalar
-        alpha = math.sqrt((math.sqrt(48.0 * h2 / kappa) - h2) / 12.0)
+        r = math.sqrt(48.0 * h2 / kappa)
+        alpha = math.sqrt(2.0 * h2 * (kappa * scalar + 24.0) / (12.0 * kappa * (r + h2)))
         return (family, alpha, 0.0, math.sqrt(h2), scalar, a,
                 geometry.hyperbolic_model(a), torsion.skew(alpha))
     a = math.sqrt(4.0 / kappa)
