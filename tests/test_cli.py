@@ -936,12 +936,14 @@ class TestReportLayout:
         capsys.readouterr()
         assert len(calls) == len(cli._LAYOUTS) == 4
 
-    def test_percent_in_a_leaf(self, monkeypatch):
-        # a % inside a string leaf is a token, not a format directive
+    def test_percent_signs(self, monkeypatch):
+        # a % in a key is layout text and one in a string leaf is a token:
+        # neither is a format directive
         monkeypatch.setattr(cli, "_LAYOUTS", {})
         sc = cli.parse_scenario(SKEW_HEISENBERG_DOC)
         doc = cli.report_doc(sc, residuals.full_report(sc), constructors.classify(sc))
         doc["tool_version"] = "1.0 %s %d 100%"
+        doc["norms"]["share %s 100%"] = 0.5
         assert cli.render_report(doc) == cli.dump_json(doc)
 
 
