@@ -64,7 +64,14 @@ def _float_token(x: float) -> str:
         return json.dumps(x)
     if x == 0:
         return "0.0"
-    return float.__repr__(float("%.12g" % x))
+    text = "%.12g" % x
+    # At 12 significant digits, the shortest repr of float(text) has text's
+    # digits, and also its form where text has a point and no exponent, or a
+    # negative exponent and a normal value: only then can repr, slow on
+    # 12 digits, be skipped.
+    if ("." in text and "e" not in text) or ("e-" in text and abs(x) >= 1e-307):
+        return text
+    return float.__repr__(float(text))
 
 
 def _emit(obj, indent: str, out: list) -> None:
@@ -88,8 +95,11 @@ def _emit(obj, indent: str, out: list) -> None:
         inner = indent + "  "
         head = "{\n" + inner
         for key, value in obj.items():
-            out.append(head + _json_str(key) + ": ")
-            _emit(value, inner, out)
+            if isinstance(value, float):  # a scalar field: no recursion
+                out.append(head + _json_str(key) + ": " + _float_token(value))
+            else:
+                out.append(head + _json_str(key) + ": ")
+                _emit(value, inner, out)
             head = ",\n" + inner
         out.append("\n" + indent + "}")
     elif isinstance(obj, str):
@@ -111,48 +121,6 @@ def dump_json(doc) -> str:
     return "".join(out)
 
 
-# A report layout is the text dump_json writes for a report whose every float
-# and string leaf is _LEAF, with each % doubled and each written _LEAF turned
-# into %s: the report is then the layout % the tokens of its leaves.  A layout
-# holds for every report of its shape (which of remark_identity and
-# simple_axis are null); cmd_check builds each on first use.
-_LEAF = "\0"
-_LAYOUTS: dict = {}
-
-
-def _marked(obj):
-    """obj with every leaf but None replaced by _LEAF."""
-    if isinstance(obj, dict):
-        return {key: _marked(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [_marked(value) for value in obj]
-    return None if obj is None else _LEAF
-
-
-def _leaf_tokens(obj, out: list) -> list:
-    """Append the tokens of obj's float and string leaves, in document order,
-    as dump_json writes them; obj holds dicts, lists, floats, strings and None."""
-    for value in obj.values() if isinstance(obj, dict) else obj:
-        if isinstance(value, float):
-            out.append(_float_token(value))
-        elif isinstance(value, str):
-            out.append(_json_str(value))
-        elif value is not None:
-            _leaf_tokens(value, out)
-    return out
-
-
-def render_report(doc: dict) -> str:
-    """``dump_json(doc)`` for a ``report_doc``, from the layout of its shape."""
-    shape = (doc["residuals"]["remark_identity"] is None,
-             doc["classification"]["simple_axis"] is None)
-    layout = _LAYOUTS.get(shape)
-    if layout is None:
-        text = dump_json(_marked(doc)).replace("%", "%%")
-        layout = _LAYOUTS[shape] = text.replace(_json_str(_LEAF), "%s")
-    return layout % tuple(_leaf_tokens(doc, []))
-
-
 def tolerance(flag: float | None) -> float:
     """--tol if given, else HET3_TOL, else DEFAULT_TOL; positive and finite."""
     tol = flag
@@ -169,7 +137,9 @@ def tolerance(flag: float | None) -> float:
 
 def _is_number(value) -> bool:
     """A JSON number; bool is an int in Python, but not a number in JSON."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is float or (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+    )
 
 
 def _numbers(value, shape: tuple) -> bool:
@@ -399,7 +369,7 @@ def cmd_check(args) -> int:
     report = residuals.full_report(sc, tol=tol)
     classification = constructors.classify(sc)
     doc = report_doc(sc, report, classification)
-    text = render_report(doc) if args.json else "".join(
+    text = dump_json(doc) if args.json else "".join(
         [f"verdict: {report.verdict}  (tolerance {tol:g})\n"]
         + [f"  {name:<14s} {value:.12g}\n" for name, value in report.norms.items()]
         + [f"  classification: {classification.kind}\n"]

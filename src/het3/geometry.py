@@ -93,29 +93,21 @@ def milnor(l1, l2, l3) -> StructureConstants:
     )
 
 
-# The cyclic relabelings t[jkil] and t[kijl] of a (..., 3, 3, 3, 3) grid t,
-# as gathers from its flat (..., 81) layout: entry 27 i + 9 j + 3 k + l reads
-# entry 27 j + 9 k + 3 i + l, and entry 27 k + 9 i + 3 j + l.
-_I, _J, _K, _L = np.indices((3, 3, 3, 3)).reshape(4, 81)
-_JKI = 27 * _J + 9 * _K + 3 * _I + _L
-_KIJ = 27 * _K + 9 * _I + 3 * _J + _L
-
-
-def _jacobi_sum(c: np.ndarray) -> np.ndarray:
-    """The cyclic Jacobi sums of structure constants c, flat: (..., 81).
-    Opposite overflows give inf - inf = NaN: the caller sets the errstate."""
-    # [[e_i,e_j],e_k] contributes c_{ijm} c_{mkl}
-    t = np.einsum("...ijm,...mkl->...ijkl", c, c)
-    t = t.reshape(t.shape[:-4] + (81,))
-    return t + t.take(_JKI, axis=-1) + t.take(_KIJ, axis=-1)
-
-
 def jacobi_defect(sc: StructureConstants) -> np.ndarray:
     """Max-norm of the cyclic Jacobi sum over all index triples, per model."""
-    # a NaN sum fails validate
+    c = sc.c
+    # [[e_i,e_j],e_k] contributes c_{ijm} c_{mkl}
+    t = np.einsum("...ijm,...mkl->...ijkl", c, c)
+    # the cyclic relabelings t[jkil] and t[kijl] as views of t: the views
+    # that einsum "...jkil->...ijkl" and "...kijl->...ijkl" return
+    n = t.ndim - 4
+    lead = tuple(range(n))
+    jki = t.transpose(lead + (n + 2, n, n + 1, n + 3))
+    kij = t.transpose(lead + (n + 1, n + 2, n, n + 3))
+    # opposite overflows give inf - inf = NaN, which validate rejects
     with np.errstate(invalid="ignore"):
-        cyc = _jacobi_sum(sc.c)
-    return np.abs(cyc).max(axis=-1)
+        cyc = t + jki + kij
+    return np.abs(cyc).max(axis=(-4, -3, -2, -1))
 
 
 def validate(sc: StructureConstants) -> None:
@@ -133,12 +125,7 @@ def validate(sc: StructureConstants) -> None:
 def levi_civita(sc: StructureConstants) -> np.ndarray:
     """Koszul formula in an orthonormal frame: 2 gamma_ijk = c_ijk - c_jki + c_kij."""
     c = sc.c
-    # c_jki and c_kij at [i, j, k]: views of c with its last three axes permuted
-    n = c.ndim - 3
-    lead = tuple(range(n))
-    jki = c.transpose(lead + (n + 2, n, n + 1))
-    kij = c.transpose(lead + (n + 1, n + 2, n))
-    return 0.5 * (c - jki + kij)
+    return 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
 
 
 def curvature_endo(sc: StructureConstants, gamma: np.ndarray) -> np.ndarray:

@@ -190,51 +190,23 @@ class SolitonScenario:
         )
 
 
-def _d_phi(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """d phi of a frame-constant 1-form: phi([e_i, e_j]), closed when 0."""
-    return np.einsum("...ijk,...k->...ij", c, phi)
-
-
-# Inputs below this size cannot overflow in ``_passes``: a product of two
-# stays below 1e200, and a sum of nine such products below 1e201.
-_NO_OVERFLOW = 1e100
-
-
-def _passes(sc: SolitonScenario) -> bool:
-    """Whether every check of ``validate_scenario`` passes, worked out in one
-    pass: one reduction for finite (and bounded) inputs, one for positive h
-    and kappa, one per tolerance.  Bounded inputs need no errstate, and a
-    NaN fails here, so True means that every ordered check passes."""
-    c, phi, h, kappa = sc.model.c, sc.phi, sc.h, sc.kappa
-    inputs = (c, sc.contorsion.a, phi, h, kappa)
-    if not (
-        np.abs(np.concatenate([np.ravel(x) for x in inputs])).max() < _NO_OVERFLOW
-        and (np.minimum(h, kappa) > 0).all()
-    ):
-        return False
-    model = np.concatenate(((c + c.swapaxes(-3, -2)).ravel(), geometry._jacobi_sum(c).ravel()))
-    skew = np.concatenate((sc.contorsion.skew_vector.ravel(), _d_phi(c, phi).ravel()))
-    return bool(
-        np.abs(model).max() <= geometry.STRUCT_TOL and np.abs(skew).max() <= VALIDATE_TOL
-    )
-
-
 def validate_scenario(sc: SolitonScenario) -> None:
     """Structural checks: finite inputs, model validity, kappa > 0, h > 0,
     beta = 0 and phi closed, the last two up to VALIDATE_TOL.  A batch
-    passes only if every sample does.  The checks run in this order, to
-    name the first that fails, only when the fused ``_passes`` fails."""
-    if _passes(sc):
-        return
-    for name, value in [
-        ("structure constants", sc.model.c),
-        ("contorsion", sc.contorsion.a),
-        ("h", sc.h),
-        ("kappa", sc.kappa),
-        ("phi", sc.phi),
-    ]:
-        if not np.isfinite(value).all():
-            raise ScenarioValidationError(f"{name} must be finite (no NaN or inf)")
+    passes only if every sample does; the first check in this order that
+    fails raises."""
+    inputs = {
+        "structure constants": sc.model.c,
+        "contorsion": sc.contorsion.a,
+        "h": sc.h,
+        "kappa": sc.kappa,
+        "phi": sc.phi,
+    }
+    # one reduction over every input; the inputs one by one only to name
+    # the first that is not finite
+    if not np.isfinite(np.concatenate([np.ravel(value) for value in inputs.values()])).all():
+        name = next(name for name, value in inputs.items() if not np.isfinite(value).all())
+        raise ScenarioValidationError(f"{name} must be finite (no NaN or inf)")
     geometry.validate(sc.model)
     if not np.greater(sc.kappa, 0).all():
         raise NonPositiveKappa(f"kappa = {np.min(sc.kappa):g} must be positive")
@@ -246,7 +218,9 @@ def validate_scenario(sc: SolitonScenario) -> None:
             "contorsion has a skew component (beta != 0 along the axis), "
             "excluded on compact models since delta xi = 2 beta"
         )
-    if np.abs(_d_phi(sc.model.c, sc.phi)).max() > VALIDATE_TOL:
+    # closedness of a frame-constant 1-form: phi([e_i, e_j]) = 0
+    dphi = np.einsum("...ijk,...k->...ij", sc.model.c, sc.phi)
+    if np.abs(dphi).max() > VALIDATE_TOL:
         raise ScenarioValidationError("phi is not closed: phi([e_i,e_j]) != 0")
 
 

@@ -878,10 +878,11 @@ class TestDumpJson:
             cli.dump_json({"a": object()})
 
 
-def layout_documents():
-    """Scenario documents that cover every report layout shape and both
-    verdicts: each family at two kappas, a perturbed skew Heisenberg member,
-    and a Milnor model with a symmetric, non-skew contorsion."""
+def report_documents():
+    """Scenario documents whose reports cover both verdicts and each
+    combination of a null remark_identity and a null simple_axis: each
+    family at two kappas, a perturbed skew Heisenberg member, and a Milnor
+    model with a symmetric, non-skew contorsion."""
     docs = {}
     for family, (build, _) in cli.FAMILY_TABLE.items():
         for kappa in (0.37, 20.0):
@@ -897,54 +898,51 @@ def layout_documents():
     return docs
 
 
-class TestReportLayout:
-    """check --json fills a per-shape layout; dump_json defines the bytes."""
+def test_check_json_is_dump_json_of_report_doc(tmp_path, capsys):
+    codes, shapes = set(), set()
+    for n, (name, doc) in enumerate(report_documents().items()):
+        path = write_doc(tmp_path, doc, f"{n}.json")
+        code = cli.main(["check", path, "--json"])
+        sc = cli.load_scenario(path)
+        report = residuals.full_report(sc)
+        doc = cli.report_doc(sc, report, constructors.classify(sc))
+        assert capsys.readouterr().out == cli.dump_json(doc), name
+        codes.add(code)
+        shapes.add((doc["residuals"]["remark_identity"] is None,
+                    doc["classification"]["simple_axis"] is None))
+    assert codes == {0, 1}
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
-    @pytest.fixture
-    def paths(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_LAYOUTS", {})
-        return {name: write_doc(tmp_path, doc, f"{n}.json")
-                for n, (name, doc) in enumerate(layout_documents().items())}
 
-    def test_bytes_match_dump_json(self, paths, capsys):
-        codes, shapes = set(), set()
-        for _ in range(2):  # the first pass builds the layouts, the second reuses them
-            for name, path in paths.items():
-                code = cli.main(["check", path, "--json"])
-                sc = cli.load_scenario(path)
-                report = residuals.full_report(sc)
-                doc = cli.report_doc(sc, report, constructors.classify(sc))
-                assert capsys.readouterr().out == cli.dump_json(doc), name
-                codes.add(code)
-                shapes.add((doc["residuals"]["remark_identity"] is None,
-                            doc["classification"]["simple_axis"] is None))
-        assert codes == {0, 1}
-        assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+def reference_float_token(x):
+    """The token of x by its definition: the repr of x rounded to 12 digits."""
+    if not math.isfinite(x):
+        return json.dumps(x)
+    if x == 0:
+        return "0.0"
+    return float.__repr__(float("%.12g" % x))
 
-    def test_each_layout_built_once(self, paths, monkeypatch, capsys):
-        calls = []
-        dump = cli.dump_json
 
-        def counted(doc):
-            calls.append(doc)
-            return dump(doc)
+class TestFloatToken:
+    """_float_token skips repr where "%.12g" already is the repr."""
 
-        monkeypatch.setattr(cli, "dump_json", counted)
-        for _ in range(3):
-            for path in paths.values():
-                assert cli.main(["check", path, "--json"]) in (0, 1)
-        capsys.readouterr()
-        assert len(calls) == len(cli._LAYOUTS) == 4
+    EDGES = [
+        5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, 1e-307,
+        9.99999999999995e-308, 1e-308, 1.7976931348623157e308, 1e-5, 9.99999999999995e-05,
+        1e-4, 0.1, 1 / 3, 1.0, 123.0, 99999999999.95, 1e11, 999999999999.4, 999999999999.5,
+        1e12, 1e15, 9999999999999998.0, 1e16, 1.5e16, math.nan, math.inf,
+    ]
 
-    def test_percent_signs(self, monkeypatch):
-        # a % in a key is layout text and one in a string leaf is a token:
-        # neither is a format directive
-        monkeypatch.setattr(cli, "_LAYOUTS", {})
-        sc = cli.parse_scenario(SKEW_HEISENBERG_DOC)
-        doc = cli.report_doc(sc, residuals.full_report(sc), constructors.classify(sc))
-        doc["tool_version"] = "1.0 %s %d 100%"
-        doc["norms"]["share %s 100%"] = 0.5
-        assert cli.render_report(doc) == cli.dump_json(doc)
+    @pytest.mark.parametrize("x", EDGES + [-x for x in EDGES] + [0.0, -0.0])
+    def test_edges(self, x):
+        assert cli._float_token(x) == reference_float_token(x)
+        assert cli._float_token(np.float64(x)) == reference_float_token(x)
+
+    def test_random_bits_and_magnitudes(self, rng):
+        bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+        scaled = rng.uniform(-1, 1, size=20000) * 10.0 ** rng.uniform(-323, 308, size=20000)
+        for x in np.concatenate([bits, scaled]).tolist():
+            assert cli._float_token(x) == reference_float_token(x), repr(x)
 
 
 # (field path, the name its diagnostics use)

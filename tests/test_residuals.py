@@ -10,7 +10,6 @@ import pytest
 from conftest import random_model
 from het3 import cli, constructors, frame, geometry, residuals, torsion
 from het3.errors import (
-    Het3Error,
     NonFiniteResidual,
     NonPositiveKappa,
     NotSkewTorsion,
@@ -122,116 +121,43 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError, match="closed"):
             residuals.validate_scenario(bad)
 
-    def test_fused_pass_agrees_with_ordered_checks(self):
-        # the same first failing check, message and warnings as the checks
-        # run one by one; a fused pass only where every check passes
-        outcomes, warned = Counter(), 0
-        for sc in validation_corpus():
-            expected = validation_outcome(ordered_checks, sc)
-            got = validation_outcome(residuals.validate_scenario, sc)
-            if expected[0] is not None and "skew" in expected[1]:
-                assert got[1].startswith("contorsion has a skew component")
-                got = (got[0], "skew", got[2])
-            assert got == expected
-            if residuals._passes(sc):
-                assert expected[0] is None
-            outcomes[expected[0], residuals._passes(sc)] += 1
-            warned += bool(expected[2])
-        # both paths run, and a passing scenario can take either
-        assert outcomes[None, True] > 60 and outcomes[None, False] > 0
-        assert sum(n for (kind, _), n in outcomes.items() if kind is not None) > 30
-        assert warned
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_non_finite_input(self, bad):
+        # one reduction over every input; the message names the first
+        # non-finite one in the order c, contorsion, h, kappa, phi
+        base = dict(
+            model=geometry.hyperbolic_model(1.0), contorsion=torsion.skew(0.2), h=1.0,
+            kappa=1.0, phi=np.array([0.3, 0.0, 0.0]),
+        )
+        c, a, phi = base["model"].c.copy(), base["contorsion"].a.copy(), base["phi"].copy()
+        c[0, 1, 1], a[2, 2], phi[0] = bad, bad, bad
+        spoilt = dict(
+            model=geometry.StructureConstants(c), contorsion=torsion.Contorsion(a), h=bad,
+            kappa=bad, phi=phi,
+        )
+        names = dict(model="structure constants", contorsion="contorsion", h="h",
+                     kappa="kappa", phi="phi")
+        fields = list(names)
+        for first, field in enumerate(fields):
+            for last in range(first, len(fields)):
+                sc = residuals.SolitonScenario(
+                    **{**base, **{f: spoilt[f] for f in fields[first:last + 1]}}
+                )
+                with pytest.raises(ScenarioValidationError) as info:
+                    residuals.validate_scenario(sc)
+                assert str(info.value) == f"{names[field]} must be finite (no NaN or inf)"
 
-
-def ordered_checks(sc):
-    """Reference: the checks of validate_scenario one after another, each
-    with its own reduction, as they ran before the fused pass."""
-    for name, value in [
-        ("structure constants", sc.model.c),
-        ("contorsion", sc.contorsion.a),
-        ("h", sc.h),
-        ("kappa", sc.kappa),
-        ("phi", sc.phi),
-    ]:
-        if not np.isfinite(value).all():
-            raise ScenarioValidationError(f"{name} must be finite (no NaN or inf)")
-    geometry.validate(sc.model)
-    if not np.greater(sc.kappa, 0).all():
-        raise NonPositiveKappa(f"kappa = {np.min(sc.kappa):g} must be positive")
-    if not np.greater(sc.h, 0).all():
-        raise ScenarioValidationError(f"h = {np.min(sc.h):g} must be positive")
-    if np.abs(sc.contorsion.skew_vector).max() > residuals.VALIDATE_TOL:
-        raise ScenarioValidationError("skew")
-    if np.abs(np.einsum("...ijk,...k->...ij", sc.model.c, sc.phi)).max() > residuals.VALIDATE_TOL:
-        raise ScenarioValidationError("phi is not closed: phi([e_i,e_j]) != 0")
-
-
-def validation_outcome(check, sc):
-    """(exception type, message or None, warning messages) of one check."""
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        try:
-            check(sc)
-            result = (None, None)
-        except Het3Error as exc:
-            result = (type(exc), str(exc))
-    return result + (sorted(str(w.message) for w in seen),)
-
-
-def validation_corpus():
-    """Scenarios on both sides of every check: random valid ones, each
-    tolerance at and just past its bound, and NaN, inf, huge and zero
-    entries in every input, single and batched."""
-    rng = np.random.default_rng(15)
-    out = []
-    for n in range(60):
-        model = random_model(rng)
-        out.append(residuals.SolitonScenario(
-            model=model, contorsion=torsion.skew(rng.normal()),
-            h=float(np.exp(rng.normal())), kappa=float(np.exp(rng.normal())),
-        ))
-    base = residuals.SolitonScenario(
-        model=geometry.hyperbolic_model(1.0), contorsion=torsion.skew(0.2), h=1.0, kappa=1.0,
-        phi=np.array([0.3, 0.0, 0.0]),
-    )
-    struct, tol = geometry.STRUCT_TOL, residuals.VALIDATE_TOL
-    for eps in (struct, np.nextafter(struct, 1.0), 2 * struct, tol, np.nextafter(tol, 1.0)):
-        c = base.model.c.copy()
-        c[0, 0, 1] = eps / 2  # anti deviation eps
-        a = base.contorsion.a.copy()
-        a[0, 1], a[1, 0] = eps, -eps  # zeta deviation eps
-        out += [
-            residuals.SolitonScenario(geometry.StructureConstants(c), base.contorsion, 1.0, 1.0),
-            residuals.SolitonScenario(base.model, torsion.Contorsion(a), 1.0, 1.0),
-            residuals.SolitonScenario(base.model, base.contorsion, 1.0, 1.0,
-                                      phi=np.array([0.3, eps, 0.0])),  # d phi = eps
-        ]
-    specials = (np.nan, np.inf, -np.inf, 1e200, -1e200, 1e100, 9.9e99, 0.0, -0.0, -1.0)
-    for value in specials:
-        c, a, phi = base.model.c.copy(), base.contorsion.a.copy(), base.phi.copy()
-        c[0, 1, 1], a[2, 2], phi[0] = value, value, value
-        out += [
-            residuals.SolitonScenario(geometry.StructureConstants(c), base.contorsion, 1.0, 1.0),
-            residuals.SolitonScenario(base.model, torsion.Contorsion(a), 1.0, 1.0),
-            residuals.SolitonScenario(base.model, base.contorsion, 1.0, 1.0, phi=phi),
-            residuals.SolitonScenario(base.model, base.contorsion, value, 1.0),
-            residuals.SolitonScenario(base.model, base.contorsion, 1.0, value),
-        ]
-        big = np.full((3, 3, 3), 0.0)
-        big[1, 2, 0], big[2, 0, 1], big[0, 1, 2] = value, -value, value
-        big -= np.swapaxes(big, 0, 1)
-        out.append(residuals.SolitonScenario(geometry.StructureConstants(big), base.contorsion,
-                                             1.0, 1.0))
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 1] = c[1, 0, 1] = 1.5e308  # c + c^T overflows, with a warning
-    out.append(residuals.SolitonScenario(geometry.StructureConstants(c), base.contorsion,
-                                         1.0, 1.0))
-    batch = residuals.SolitonScenario.stack(out[:4])
-    out.append(batch)
-    out.append(residuals.SolitonScenario(
-        batch.model, batch.contorsion, np.array([1.0, 2.0, -1.0, 1.0]), batch.kappa
-    ))
-    return out
+    def test_non_finite_sample_of_a_batch(self):
+        good = residuals.SolitonScenario(
+            model=geometry.heisenberg(1.0), contorsion=torsion.skew(0.5), h=1.0, kappa=1.0
+        )
+        batch = residuals.SolitonScenario.stack([good, good, good])
+        residuals.validate_scenario(batch)
+        spoilt = residuals.SolitonScenario(
+            batch.model, batch.contorsion, np.array([1.0, np.nan, 1.0]), batch.kappa
+        )
+        with pytest.raises(ScenarioValidationError, match="^h must be finite"):
+            residuals.validate_scenario(spoilt)
 
 
 def ric_gH(model, h):
