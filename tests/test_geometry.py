@@ -1,5 +1,7 @@
 """Homogeneous models: validation, Koszul connection, curvature identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,11 +43,62 @@ class TestValidate:
         with pytest.raises(AntisymmetryViolation):
             geometry.validate(geometry.StructureConstants(c))
 
+    def test_one_reduction_agrees_with_the_checks_in_turn(self, rng):
+        # the same exception, message and warnings as the two checks run one
+        # after the other, on models that pass, fail at and one ulp past
+        # STRUCT_TOL, overflow in either sum, or hold NaN
+        tol = geometry.STRUCT_TOL
+        models = [random_model(rng) for _ in range(20)]
+        for eps in (tol, np.nextafter(tol, 1.0), 2 * tol):
+            c = geometry.hyperbolic_model(1.0).c.copy()
+            c[0, 0, 1] = eps / 2  # anti deviation eps
+            models.append(geometry.StructureConstants(c))
+            models.append(geometry.heisenberg(1.0 + eps))
+            models.append(geometry.StructureConstants.from_entries(
+                [(0, 1, 2, 1.0), (1, 2, 0, eps), (0, 2, 0, 1.0)]))  # Jacobi defect about eps
+        for value in (1e154, 1e200, 1.5e308, np.inf, np.nan):
+            models.append(geometry.milnor(value, value, value))  # overflow in the Jacobi sums
+            models.append(geometry.milnor(value, -value, 1.0))
+            c = np.zeros((3, 3, 3))
+            c[0, 1, 1] = c[1, 0, 1] = value  # overflow in c + c^T
+            models.append(geometry.StructureConstants(c))
+        for part in (models[:5], models[-4:]):
+            models.append(geometry.StructureConstants(np.stack([m.c for m in part])))
+        failed = warned = 0
+        for model in models:
+            got, want = outcome(geometry.validate, model), outcome(checks_in_turn, model)
+            assert got == want
+            failed += want[0] is not None
+            warned += bool(want[2])
+        assert failed > 10 and warned > 2
+
     def test_ad_trace(self):
         assert np.all(geometry.heisenberg(3.0).ad_trace() == 0.0)
         np.testing.assert_array_equal(
             geometry.hyperbolic_model(1.5).ad_trace(), [3.0, 0.0, 0.0]
         )
+
+
+def checks_in_turn(model):
+    """Reference: the antisymmetry check, then the Jacobi check."""
+    anti = np.abs(model.c + model.c.swapaxes(-3, -2)).max()
+    if not anti <= geometry.STRUCT_TOL:
+        raise AntisymmetryViolation(f"c_ijk + c_jik deviates by {anti:g}")
+    defect = geometry.jacobi_defect(model).max()
+    if not defect <= geometry.STRUCT_TOL:
+        raise JacobiViolation(f"Jacobi identity violated by {defect:g}")
+
+
+def outcome(check, model):
+    """(exception type, message, warning messages) of one check."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            check(model)
+            result = (None, None)
+        except (AntisymmetryViolation, JacobiViolation) as exc:
+            result = (type(exc), str(exc))
+    return result + (sorted(str(w.message) for w in seen),)
 
 
 def einsum_jacobi_defect(c):
