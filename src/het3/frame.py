@@ -50,6 +50,25 @@ IDENTITY.flags.writeable = False
 EPS = np.cross(np.eye(3)[:, None], np.eye(3))
 
 
+class cached_property:
+    """functools.cached_property without the lock that Python 3.11 takes on
+    every first read (3.12 dropped it): the first read stores the value in
+    the instance dict, which then shadows this non-data descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 def as_vec(v) -> np.ndarray:
     """Coerce to float vectors of shape (..., 3)."""
     a = np.asarray(v, dtype=float)

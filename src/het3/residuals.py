@@ -63,7 +63,6 @@ once, where it computes it: the residuals, identities and classify share it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +81,7 @@ from .frame import (
     CurvatureOperator,
     _per_grid,
     as_vec,
+    cached_property,
     curv_norm_sq,
     curv_square,
     dot,

@@ -23,7 +23,6 @@ Contorsions and connection coefficients accept leading batch axes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .frame import (
     _per_grid,
     as_grid,
     as_vec,
+    cached_property,
     star_matrix,
 )
 
