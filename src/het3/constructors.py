@@ -24,6 +24,11 @@ construction), and the tail builds one batched SolitonScenario.  A single
 construction is the batch shape () case, with float parameters.  A check
 that fails names the first failing sample.
 
+``classify`` takes any batch shape too: one eigh over the batch, then each
+sample's kind from its Python floats.  A batch gives an array of kinds and a
+(..., 3) grid of simple axes, NaN rows where the kind is not
+HEISENBERG_TYPE; a single scenario gives a str kind and an axis or None.
+
 The hyperbolic window -24 < kappa s_g < 0 is one predicate, ``in_window``:
 ``construct_hyperbolic_skew`` raises OutOfWindow on any sample outside it,
 and a sweep uses it to mark OUT_OF_WINDOW rows and to pass only the
@@ -243,41 +248,60 @@ def boundary_vanishing_torsion(kappa) -> ConstructedSoliton:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    """Ricci eigenvalue profile of the underlying model."""
+    """Ricci eigenvalue profile of the underlying model.
 
-    kind: str  # HEISENBERG_TYPE | HYPERBOLIC_TYPE | FLAT | OTHER
+    For a batch, ``kind`` is an array of strings of the batch shape and
+    ``simple_axis`` a (..., 3) grid with a NaN row wherever the kind is not
+    HEISENBERG_TYPE; for a single scenario they are a str and an axis or None.
+    """
+
+    kind: str | np.ndarray  # HEISENBERG_TYPE | HYPERBOLIC_TYPE | FLAT | OTHER
     ricci_eigenvalues: np.ndarray  # sorted ascending
     simple_axis: np.ndarray | None
 
 
-def classify(sc: residuals.SolitonScenario) -> ClassificationVerdict:
-    """Label the model by its Ricci eigenvalue pattern.
+_NO_AXIS = [np.nan] * 3  # a batch's simple_axis row where the kind is not HEISENBERG_TYPE
 
-    HEISENBERG_TYPE: eigenvalues (mu, -mu, -mu) with mu > 0;
-    HYPERBOLIC_TYPE: Einstein with s < 0; FLAT: Ric = 0, each up to
-    CLASSIFY_TOL.  Takes a single scenario, not a batch.
-    """
-    ricci = sc.curvature_g.ricci
-    if ricci.ndim != 2:
-        raise ValueError(
-            f"classify takes one scenario, not a batch of shape {ricci.shape[:-2]}"
-        )
-    vals, vecs = np.linalg.eigh(ricci)
-    # Python floats, in the ascending order of eigh: the spread
-    # np.max(vals) - np.min(vals) is mu - lo, and a NaN fails every test as
-    # it fails the array forms (lo <= mid catches one in the middle)
-    lo, mid, mu = vals.tolist()
+
+def _kind(lo: float, mid: float, mu: float) -> str:
+    """The kind of one sample's Ricci eigenvalues, Python floats in the
+    ascending order of eigh: the spread np.max(vals) - np.min(vals) is
+    mu - lo, and a NaN fails every test as it fails the array forms
+    (lo <= mid catches one in the middle)."""
     if abs(lo) <= CLASSIFY_TOL and abs(mid) <= CLASSIFY_TOL and abs(mu) <= CLASSIFY_TOL:
-        return ClassificationVerdict("FLAT", vals, None)
+        return "FLAT"
     if mu - lo <= CLASSIFY_TOL and lo <= mid:
-        kind = "HYPERBOLIC_TYPE" if lo < 0 else "OTHER"
-        return ClassificationVerdict(kind, vals, None)
+        return "HYPERBOLIC_TYPE" if lo < 0 else "OTHER"
     if mu > CLASSIFY_TOL and abs(lo + mu) <= CLASSIFY_TOL and abs(mid + mu) <= CLASSIFY_TOL:
-        axis = vecs[:, 2]
-        if axis[np.argmax(np.abs(axis))] < 0:
-            axis = -axis
-        return ClassificationVerdict("HEISENBERG_TYPE", vals, axis)
-    return ClassificationVerdict("OTHER", vals, None)
+        return "HEISENBERG_TYPE"
+    return "OTHER"
+
+
+def _oriented(axis: list) -> list:
+    """The axis, negated if its largest component (the first of equals) is negative."""
+    return [-x for x in axis] if max(axis, key=abs) < 0 else axis
+
+
+def classify(sc: residuals.SolitonScenario) -> ClassificationVerdict:
+    """Label the model by its Ricci eigenvalue pattern, per sample.
+
+    HEISENBERG_TYPE: eigenvalues (mu, -mu, -mu) with mu > 0, with the
+    eigenvector of mu as its simple axis; HYPERBOLIC_TYPE: Einstein with s < 0;
+    FLAT: Ric = 0, each up to CLASSIFY_TOL.
+    """
+    vals, vecs = np.linalg.eigh(sc.curvature_g.ricci)
+    kinds = [_kind(*sample) for sample in vals.reshape(-1, 3).tolist()]
+    # the eigenvector of the largest eigenvalue, per sample, as floats
+    tops = vecs[..., 2].reshape(-1, 3).tolist()
+    axes = [_oriented(top) if kind == "HEISENBERG_TYPE" else _NO_AXIS
+            for kind, top in zip(kinds, tops)]
+    if vals.ndim == 1:
+        kind = kinds[0]
+        axis = np.array(axes[0]) if kind == "HEISENBERG_TYPE" else None
+        return ClassificationVerdict(kind, vals, axis)
+    return ClassificationVerdict(
+        np.array(kinds).reshape(vals.shape[:-1]), vals, np.array(axes).reshape(vals.shape)
+    )
 
 
 class SweepRow(NamedTuple):

@@ -109,7 +109,7 @@ def _jacobi_sums(c: np.ndarray) -> np.ndarray:
 
 def jacobi_defect(sc: StructureConstants) -> np.ndarray:
     """Max-norm of the cyclic Jacobi sum over all index triples, per model."""
-    # a NaN sum fails validate
+    # inf - inf in a sum gives a NaN defect
     with np.errstate(invalid="ignore"):
         cyc = _jacobi_sums(sc.c)
     return np.abs(cyc).max(axis=(-4, -3, -2, -1))
@@ -118,19 +118,16 @@ def jacobi_defect(sc: StructureConstants) -> np.ndarray:
 def validate(sc: StructureConstants) -> None:
     """Raise unless every model's c is antisymmetric in (i, j) and satisfies
     Jacobi up to STRUCT_TOL; the message gives the worst deviation.  A NaN
-    deviation fails too."""
+    deviation fails too, and a Jacobi sum that overflows is named as such."""
     c = sc.c
-    # Both deviations in one reduction, quietly.  Within STRUCT_TOL nothing
-    # overflowed, so the checks below pass without a warning; otherwise they
-    # run, to name the first that fails, with the warnings of their own sums.
+    # each deviation reduced once, quietly: an overflow or a NaN fails its check
     with np.errstate(over="ignore", invalid="ignore"):
-        both = np.concatenate(((c + c.swapaxes(-3, -2)).ravel(), _jacobi_sums(c).ravel()))
-    if np.abs(both).max() <= STRUCT_TOL:
-        return
-    anti = np.abs(c + c.swapaxes(-3, -2)).max()
+        anti = np.abs(c + c.swapaxes(-3, -2)).max()
+        defect = np.abs(_jacobi_sums(c)).max()
     if not anti <= STRUCT_TOL:
         raise AntisymmetryViolation(f"c_ijk + c_jik deviates by {anti:g}")
-    defect = jacobi_defect(sc).max()
+    if not np.isfinite(defect):
+        raise JacobiViolation("structure constants overflow the float range in the Jacobi sums")
     if not defect <= STRUCT_TOL:
         raise JacobiViolation(f"Jacobi identity violated by {defect:g}")
 

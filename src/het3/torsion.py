@@ -99,11 +99,14 @@ class ReducibleTorsionParams:
 def build_reducible(params: ReducibleTorsionParams) -> Contorsion:
     """A = alpha g + beta *xi + gamma xi (x) xi."""
     xi = params.xi
-    a = (
-        _per_grid(params.alpha) * IDENTITY
-        + _per_grid(params.beta) * star_matrix(xi)
-        + _per_grid(params.gamma) * np.outer(xi, xi)
-    )
+    # quietly: an infinite coefficient times a zero entry, or a sum past the
+    # float range, leaves a NaN or inf that validate_scenario rejects by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (
+            _per_grid(params.alpha) * IDENTITY
+            + _per_grid(params.beta) * star_matrix(xi)
+            + _per_grid(params.gamma) * np.outer(xi, xi)
+        )
     return Contorsion(a)
 
 

@@ -243,6 +243,36 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == "" and "Jacobi" in captured.err
 
+    def test_jacobi_overflow_is_named(self, tmp_path, capsys):
+        # a unimodular Milnor model whose Jacobi sums overflow the float range
+        doc = dict(SKEW_HEISENBERG_DOC)
+        doc["structure_constants"] = [[1, 2, 3, 1e200], [2, 3, 1, 1e200]]
+        assert cli.main(["check", write_doc(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: structure constants overflow the float range in the Jacobi sums\n"
+        )
+
+    @pytest.mark.parametrize("literals", [
+        {"alpha": "1e309"}, {"alpha": "Infinity"}, {"gamma": "1e309"}, {"gamma": "Infinity"},
+        {"alpha": "1e308", "gamma": "1e308"},  # finite, with a sum past the float range
+    ], ids=["alpha_1e309", "alpha_Infinity", "gamma_1e309", "gamma_Infinity", "sum_overflow"])
+    def test_non_finite_contorsion_one_line(self, tmp_path, capsys, literals):
+        # an infinite coefficient meets the zeros of its grid: one line, no warning
+        doc = json.loads(json.dumps(SKEW_HEISENBERG_DOC))
+        for field in literals:
+            doc["contorsion"][field] = "@" + field
+        text = json.dumps(doc)
+        for field, literal in literals.items():
+            text = text.replace(f'"@{field}"', literal)
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert cli.main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: contorsion must be finite (no NaN or inf)\n"
+
     @pytest.mark.parametrize("command", ["check", "sweep"])
     @pytest.mark.parametrize(
         "flag, env",

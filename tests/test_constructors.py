@@ -261,12 +261,13 @@ class TestClassify:
         return lambda ricci: types.SimpleNamespace(curvature_g=types.SimpleNamespace(ricci=ricci))
 
     def test_kind_matches_array_expressions(self, rng, as_scenario):
-        kinds = Counter()
-        for ricci in ricci_grids(rng):
-            verdict = constructors.classify(as_scenario(ricci))
-            assert verdict.kind == reference_kind(ricci), np.diagonal(ricci)
-            kinds[verdict.kind] += 1
-        assert set(kinds) == {"FLAT", "HYPERBOLIC_TYPE", "HEISENBERG_TYPE", "OTHER"}
+        grids = ricci_grids(rng)
+        verdict = constructors.classify(as_scenario(np.stack(grids)))
+        assert verdict.kind.shape == (len(grids),)
+        for ricci, kind in zip(grids, verdict.kind.tolist()):
+            assert kind == reference_kind(ricci), np.diagonal(ricci)
+        assert set(verdict.kind.tolist()) == {
+            "FLAT", "HYPERBOLIC_TYPE", "HEISENBERG_TYPE", "OTHER"}
 
     @pytest.mark.parametrize("diag", [
         [np.nan, 1.0, 2.0], [-1.0, np.nan, -1.0], [-1.0, -1.0, np.nan],
@@ -307,16 +308,90 @@ class TestClassify:
         )
         assert constructors.classify(sc).kind == "OTHER"
 
-    def test_rejects_batch(self):
-        batch = residuals.SolitonScenario.stack(
-            [
-                constructors.construct_skew_heisenberg(1.0).scenario,
-                constructors.construct_skew_heisenberg(4.0).scenario,
-                constructors.construct_hyperbolic_skew(1.0, -6.0).scenario,
-            ]
-        )
-        with pytest.raises(ValueError, match=r"batch of shape \(3,\)"):
-            constructors.classify(batch)
+    @staticmethod
+    def assert_sample_is_single(batch, index, single):
+        """Sample ``index`` of a batch verdict is the single verdict, bit for bit."""
+        assert batch.kind[index] == single.kind
+        assert type(single.kind) is str
+        vals = batch.ricci_eigenvalues[index]
+        assert vals.tobytes() == single.ricci_eigenvalues.tobytes()
+        axis = batch.simple_axis[index]
+        if single.simple_axis is None:
+            assert single.kind != "HEISENBERG_TYPE" and np.isnan(axis).all()
+        else:
+            assert single.kind == "HEISENBERG_TYPE"
+            assert axis.tobytes() == single.simple_axis.tobytes()
+
+    @staticmethod
+    def mixed_scenarios(rng):
+        """Every family at two kappas, a flat and an OTHER model, and
+        Heisenberg models in rotated frames (simple axes of either sign)."""
+        scenarios = [built.scenario for kappa in (1.0, 1e-3) for built in all_families(kappa)]
+        for model in (geometry.abelian(), geometry.milnor(1.0, 2.0, 3.0)):
+            scenarios.append(residuals.SolitonScenario(
+                model=model, contorsion=torsion.skew(0.0), h=1.0, kappa=1.0))
+        for _ in range(8):
+            q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+            rot = q * np.sign(np.diag(r))
+            rot[:, 0] *= np.linalg.det(rot)  # proper
+            c = np.einsum("ia,jb,kc,abc->ijk", rot, rot, rot, geometry.heisenberg(2.0).c)
+            scenarios.append(residuals.SolitonScenario(
+                model=geometry.StructureConstants(c), contorsion=torsion.skew(0.0),
+                h=1.0, kappa=1.0))
+        return scenarios
+
+    def test_each_sample_is_its_own_classify(self, rng):
+        kappas = np.array([0.25, 1.0, 1e3])
+        batch = constructors.classify(constructors.construct_skew_heisenberg(kappas).scenario)
+        assert batch.kind.shape == (3,) and batch.simple_axis.shape == (3, 3)
+        for n, kappa in enumerate(kappas.tolist()):
+            single = constructors.classify(constructors.construct_skew_heisenberg(kappa).scenario)
+            self.assert_sample_is_single(batch, n, single)
+
+        scenarios = self.mixed_scenarios(rng)
+        singles = [constructors.classify(sc) for sc in scenarios]
+        kinds = {single.kind for single in singles}
+        assert kinds == {"FLAT", "HYPERBOLIC_TYPE", "HEISENBERG_TYPE", "OTHER"}
+        stacked = residuals.SolitonScenario.stack(scenarios)
+        batch = constructors.classify(stacked)
+        assert batch.kind.shape == (len(scenarios),)
+        for n, single in enumerate(singles):
+            self.assert_sample_is_single(batch, n, single)
+
+        # six samples of four kinds as a (2, 3) batch
+        pick = [0, 3, 10, 11, 12, 13]
+        grid = residuals.SolitonScenario(
+            model=geometry.StructureConstants(stacked.model.c[pick].reshape(2, 3, 3, 3, 3)),
+            contorsion=torsion.Contorsion(stacked.contorsion.a[pick].reshape(2, 3, 3, 3)),
+            h=stacked.h[pick].reshape(2, 3), kappa=stacked.kappa[pick].reshape(2, 3),
+            phi=stacked.phi[pick].reshape(2, 3, 3))
+        batch = constructors.classify(grid)
+        assert batch.kind.shape == (2, 3) and batch.ricci_eigenvalues.shape == (2, 3, 3)
+        assert batch.simple_axis.shape == (2, 3, 3)
+        assert set(batch.kind.ravel().tolist()) == kinds
+        for n, index in enumerate(pick):
+            self.assert_sample_is_single(batch, divmod(n, 3), singles[index])
+
+    def test_axis_matches_the_array_orientation(self, rng):
+        # the simple axis as the eigenvector of mu, negated where its largest
+        # entry (np.argmax of the absolute values) is negative
+        flipped = []
+        for sc in self.mixed_scenarios(rng):
+            verdict = constructors.classify(sc)
+            if verdict.kind != "HEISENBERG_TYPE":
+                continue
+            axis = np.linalg.eigh(sc.curvature_g.ricci)[1][:, 2]
+            flipped.append(bool(axis[np.argmax(np.abs(axis))] < 0))
+            if flipped[-1]:
+                axis = -axis
+            assert verdict.simple_axis.tobytes() == axis.tobytes()
+        assert any(flipped) and not all(flipped)
+        # ties in absolute value: the first of them decides, as np.argmax does
+        for axis in ([-0.5, 0.5, 0.0], [0.5, -0.5, 0.0], [0.0, -1.0, 1.0], [-0.0, 1.0, -1.0]):
+            want = np.array(axis)
+            if want[np.argmax(np.abs(want))] < 0:
+                want = -want
+            assert np.array(constructors._oriented(axis)).tobytes() == want.tobytes()
 
 
 class TestSweep:
