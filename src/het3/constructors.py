@@ -152,13 +152,15 @@ def construct_generic_reducible(kappa, scalar, sign: int = +1) -> ConstructedSol
         alpha = np.sqrt(-0.5 * scalar)
         gamma = sign / np.sqrt(kappa) - 2.0 * alpha
         h = np.sqrt(-2.0 * scalar)
-    if (np.abs(gamma) < 1e-12).any():
+    built = _constructed(HEISENBERG_GENERIC, geometry.heisenberg, 2.0 * alpha,
+                         alpha=alpha, gamma=gamma, h=h, scalar=scalar, kappa=kappa)
+    # the rule a report applies to decide whether the torsion is skew
+    if built.scenario.contorsion.is_pure_skew_torsion().any():
         raise DegeneratesToSkew(
             "gamma = 0: these parameters give purely skew torsion, "
             "use the skew Heisenberg constructor"
         )
-    return _constructed(HEISENBERG_GENERIC, geometry.heisenberg, 2.0 * alpha,
-                        alpha=alpha, gamma=gamma, h=h, scalar=scalar, kappa=kappa)
+    return built
 
 
 def construct_skew_heisenberg(kappa) -> ConstructedSoliton:

@@ -44,7 +44,8 @@ class NonNegativeScalar(Het3Error):
 
 
 class DegeneratesToSkew(Het3Error):
-    """Generic-reducible parameters collapse to gamma = 0 (pure skew torsion)."""
+    """Generic-reducible parameters whose torsion is purely skew by the test a
+    report applies, Contorsion.is_pure_skew_torsion: |gamma| <= 1.5e-10."""
 
 
 class InvalidSampleCount(Het3Error, ValueError):

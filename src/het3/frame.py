@@ -126,15 +126,14 @@ def curv_compose(r1: CurvatureOperator, r2: CurvatureOperator) -> np.ndarray:
     """
     k1, k2t = r1.entries, np.swapaxes(r2.entries, -1, -2)
     out = np.zeros(np.broadcast_shapes(k1.shape, k2t.shape))
-    eye = np.eye(3)
     for p in range(3):
         for q in range(3):
             acc = 0.0
             for i in range(3):
                 # a as a row and b as a column, so that a @ b is the matmul
                 # dot product of frame.dot
-                a = np.cross(eye[p], eye[i])[None, :] @ k1
-                b = k2t @ np.cross(eye[q], eye[i])[:, None]
+                a = np.cross(IDENTITY[p], IDENTITY[i])[None, :] @ k1
+                b = k2t @ np.cross(IDENTITY[q], IDENTITY[i])[:, None]
                 acc += a @ b
             out[..., p, q] = acc[..., 0, 0]
     return out

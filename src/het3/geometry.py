@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AntisymmetryViolation, JacobiViolation, TraceMismatch
-from .frame import _P, _Q, EPS, CurvatureOperator, star_matrix
+from .frame import _P, _Q, EPS, IDENTITY, CurvatureOperator, star_matrix
 
 STRUCT_TOL = 1e-12
 TRACE_TOL = 1e-9  # trace(Ric) against the given s in the closed forms
@@ -93,9 +93,12 @@ def milnor(l1, l2, l3) -> StructureConstants:
     )
 
 
-def _jacobi_sums(c: np.ndarray) -> np.ndarray:
-    """The cyclic Jacobi sums of structure constants c, (..., 3, 3, 3, 3).
-    Opposite overflows give inf - inf = NaN: the caller sets the errstate."""
+def jacobi_defect(sc: StructureConstants) -> np.ndarray:
+    """Max-norm of the cyclic Jacobi sum over all index triples, per model:
+    the one reduction of the Jacobi identity, which ``validate`` compares
+    with STRUCT_TOL.  Opposite overflows in a sum give inf - inf, quietly:
+    the defect is then NaN."""
+    c = sc.c
     # [[e_i,e_j],e_k] contributes c_{ijm} c_{mkl}
     t = np.einsum("...ijm,...mkl->...ijkl", c, c)
     # the cyclic relabelings t[jkil] and t[kijl] as views of t: the views
@@ -104,15 +107,8 @@ def _jacobi_sums(c: np.ndarray) -> np.ndarray:
     lead = tuple(range(n))
     jki = t.transpose(lead + (n + 2, n, n + 1, n + 3))
     kij = t.transpose(lead + (n + 1, n + 2, n, n + 3))
-    return t + jki + kij
-
-
-def jacobi_defect(sc: StructureConstants) -> np.ndarray:
-    """Max-norm of the cyclic Jacobi sum over all index triples, per model."""
-    # inf - inf in a sum gives a NaN defect
     with np.errstate(invalid="ignore"):
-        cyc = _jacobi_sums(sc.c)
-    return np.abs(cyc).max(axis=(-4, -3, -2, -1))
+        return np.abs(t + jki + kij).max(axis=(-4, -3, -2, -1))
 
 
 def validate(sc: StructureConstants) -> None:
@@ -123,7 +119,7 @@ def validate(sc: StructureConstants) -> None:
     # each deviation reduced once, quietly: an overflow or a NaN fails its check
     with np.errstate(over="ignore", invalid="ignore"):
         anti = np.abs(c + c.swapaxes(-3, -2)).max()
-        defect = np.abs(_jacobi_sums(c)).max()
+        defect = jacobi_defect(sc).max()
     if not anti <= STRUCT_TOL:
         raise AntisymmetryViolation(f"c_ijk + c_jik deviates by {anti:g}")
     if not np.isfinite(defect):
@@ -270,7 +266,7 @@ def curvature_via_ricci(ricci, s: float) -> CurvatureOperator:
     # row a at the pair (X, Y) = (e_i, e_j) of *e_a = e_i ^ e_j: X ^ Y = *e_a,
     # and e_j ^ w, w ^ e_i are column j and row i of the skew grid *w
     star_ric = star_matrix(ric.T)  # star_ric[i] = *(Ric e_i)
-    return CurvatureOperator(0.5 * s * np.eye(3) + star_ric[_P, :, _Q] + star_ric[_Q, _P])
+    return CurvatureOperator(0.5 * s * IDENTITY + star_ric[_P, :, _Q] + star_ric[_Q, _P])
 
 
 def ricci_square_identity(ricci, s: float) -> np.ndarray:
@@ -278,4 +274,4 @@ def ricci_square_identity(ricci, s: float) -> np.ndarray:
     ric = np.asarray(ricci, dtype=float)
     _check_trace(ric, s)
     ric_sq = float(np.sum(ric * ric))
-    return -ric @ ric + s * ric + (ric_sq - 0.5 * s * s) * np.eye(3)
+    return -ric @ ric + s * ric + (ric_sq - 0.5 * s * s) * IDENTITY

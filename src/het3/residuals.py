@@ -89,7 +89,7 @@ from .frame import (
 )
 
 DEFAULT_TOL = 1e-9
-VALIDATE_TOL = 1e-10  # skew part of the contorsion and d phi in validate_scenario
+VALIDATE_TOL = 1e-10  # d phi in validate_scenario; the skew part has torsion.SKEW_TOL
 
 # An overflow shows as inf or NaN in a residual, which the report rejects.
 _OVERFLOW_QUIET = dict(over="ignore", invalid="ignore")
@@ -130,14 +130,14 @@ class SolitonScenario:
         object.__setattr__(self, "phi", as_vec(self.phi))
 
     def validate(self) -> None:
-        """Run ``validate_scenario`` once per scenario object.
+        """Run ``validate_scenario`` once per scenario object: a pass is
+        cached as the geometry below is, a failure raises on every call."""
+        self._validated
 
-        A pass is remembered, in the instance dict as the cached geometry
-        below is; a failure is not, and raises again on every call.
-        """
-        if "_validated" not in self.__dict__:
-            validate_scenario(self)
-            self.__dict__["_validated"] = True
+    @cached_property
+    def _validated(self) -> bool:
+        validate_scenario(self)
+        return True
 
     @cached_property
     def connection(self) -> torsion.TorsionConnection:
@@ -192,9 +192,9 @@ class SolitonScenario:
 
 def validate_scenario(sc: SolitonScenario) -> None:
     """Structural checks: finite inputs, model validity, kappa > 0, h > 0,
-    beta = 0 and phi closed, the last two up to VALIDATE_TOL.  A batch
-    passes only if every sample does; the first check in this order that
-    fails raises."""
+    beta = 0 up to torsion.SKEW_TOL and phi closed up to VALIDATE_TOL.  A
+    batch passes only if every sample does; the first check in this order
+    that fails raises."""
     inputs = {
         "structure constants": sc.model.c,
         "contorsion": sc.contorsion.a,
@@ -212,8 +212,9 @@ def validate_scenario(sc: SolitonScenario) -> None:
         raise NonPositiveKappa(f"kappa = {np.min(sc.kappa):g} must be positive")
     if not np.greater(sc.h, 0).all():
         raise ScenarioValidationError(f"h = {np.min(sc.h):g} must be positive")
+    # the bound of Contorsion.is_pure_skew_torsion, which then ignores zeta
     zeta = sc.contorsion.skew_vector
-    if np.abs(zeta).max() > VALIDATE_TOL:
+    if np.abs(zeta).max() > torsion.SKEW_TOL:
         raise ScenarioValidationError(
             "contorsion has a skew component (beta != 0 along the axis), "
             "excluded on compact models since delta xi = 2 beta"
@@ -334,10 +335,6 @@ def remark_identity_residual(sc: SolitonScenario) -> np.ndarray:
     )
 
 
-def _worst(norms: dict) -> np.ndarray:
-    return np.maximum.reduce(list(norms.values()))
-
-
 def _finite(what: str, value: np.ndarray) -> np.ndarray:
     """``value``, once every entry is finite; otherwise NonFiniteResidual."""
     if not np.isfinite(value).all():
@@ -364,13 +361,9 @@ class ResidualReport:
     dilaton: np.ndarray
     maxwell: np.ndarray
     norms: dict
+    worst: np.ndarray  # the largest norm per sample, which the verdict compares with tolerance
     tolerance: float
     verdict: str | np.ndarray
-
-    @property
-    def worst(self) -> np.ndarray:
-        """The largest norm, per sample: what the verdict compares to the tolerance."""
-        return _worst(self.norms)
 
     @property
     def is_solution(self) -> bool | np.ndarray:
@@ -416,7 +409,7 @@ def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport
             "dilaton": np.abs(dil),
             "maxwell": _norm(mx, 1),
         }
-    worst = _worst(norms)
+    worst = np.maximum.reduce(list(norms.values()))
     if not np.isfinite(worst).all():
         for name, norm in norms.items():
             _finite(f"{name} residual", norm)
@@ -430,6 +423,7 @@ def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport
         dilaton=dil,
         maxwell=mx,
         norms=norms,
+        worst=worst,
         tolerance=tol,
         verdict=verdict,
     )

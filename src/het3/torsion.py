@@ -62,13 +62,17 @@ class Contorsion:
     @cached_property
     def traceless_sym(self) -> np.ndarray:
         """Theta: traceless symmetric component."""
-        sym = 0.5 * (self.a + self.a.swapaxes(-1, -2))
-        return sym - self.trace_part[..., None, None] * IDENTITY
+        # quietly, as for zeta: a part past the float range is inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = 0.5 * (self.a + self.a.swapaxes(-1, -2))
+            return sym - self.trace_part[..., None, None] * IDENTITY
 
     @cached_property
     def skew_vector(self) -> np.ndarray:
         """zeta with skew(A) = *zeta."""
-        k = 0.5 * (self.a - self.a.swapaxes(-1, -2))
+        # quietly: an inf or NaN zeta fails the skew check of validate_scenario
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = 0.5 * (self.a - self.a.swapaxes(-1, -2))
         return k[..., _P, _Q]
 
     def is_pure_skew_torsion(self) -> np.ndarray:
@@ -92,8 +96,10 @@ class ReducibleTorsionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "xi", as_vec(self.xi))
-        if abs(float(self.xi @ self.xi) - 1.0) > UNIT_TOL:
-            raise NonUnitAxis(f"|xi|^2 = {float(self.xi @ self.xi):g}")
+        with np.errstate(over="ignore"):
+            norm_sq = float(self.xi @ self.xi)
+        if abs(norm_sq - 1.0) > UNIT_TOL:
+            raise NonUnitAxis(f"|xi|^2 = {norm_sq:g}")
 
 
 def build_reducible(params: ReducibleTorsionParams) -> Contorsion:
@@ -182,7 +188,7 @@ def reducible_curvature_closed_form(
     Valid whenever A = alpha g + gamma xi (x) xi and nabla^g xi = alpha *xi.
     """
     x = as_vec(xi)
-    k = r_g.entries + alpha * alpha * np.eye(3) + 2.0 * alpha * gamma * np.outer(x, x)
+    k = r_g.entries + alpha * alpha * IDENTITY + 2.0 * alpha * gamma * np.outer(x, x)
     return CurvatureOperator(k)
 
 
@@ -190,7 +196,7 @@ def rara_closed_form(alpha: float, gamma: float, s: float, xi) -> np.ndarray:
     """R^{g,A} o_g R^{g,A} = (3 a^2 - s/2 + 2 a c)^2 (g - xi (x) xi)."""
     x = as_vec(xi)
     factor = 3.0 * alpha * alpha - 0.5 * s + 2.0 * alpha * gamma
-    return factor * factor * (np.eye(3) - np.outer(x, x))
+    return factor * factor * (IDENTITY - np.outer(x, x))
 
 
 def skew_rr_closed_form(ricci, s: float, alpha: float) -> np.ndarray:
@@ -204,5 +210,5 @@ def skew_rr_closed_form(ricci, s: float, alpha: float) -> np.ndarray:
     return (
         -ric @ ric
         + (s - 2.0 * a2) * ric
-        + (ric_sq - 0.5 * s * s + 2.0 * a2 * a2) * np.eye(3)
+        + (ric_sq - 0.5 * s * s + 2.0 * a2 * a2) * IDENTITY
     )

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,20 @@ def fmt_tree(obj):
     if isinstance(obj, (list, tuple)):
         return [fmt_tree(v) for v in obj]
     return obj
+
+
+# values at the edges of the float range, for every numeric field in turn
+DIAGNOSTIC_VALUES = (1e154, -1e154, 1e200, -1e200, 1e308, -1e308, 1.7e308, 1e-320, -1e-320)
+
+
+def numeric_leaves(doc, path=()):
+    """The key paths of every number in a document, frame indices included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from numeric_leaves(value, path + (key,))
+        else:
+            yield path + (key,)
 
 
 def write_doc(tmp_path, doc, name="scenario.json"):
@@ -272,6 +287,45 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: contorsion must be finite (no NaN or inf)\n"
+
+    def test_one_diagnostic_for_every_document_field(self, tmp_path, capsys):
+        # every numeric leaf of both document forms, one at a time, at the
+        # edges of the float range, plus a skew part that overflows: stderr
+        # is empty or one error line, and no warning is raised
+        matrix_doc = json.loads(json.dumps(SKEW_HEISENBERG_DOC))
+        matrix_doc["contorsion"] = {"matrix": (0.5 * np.eye(3)).tolist()}
+        docs = []
+        for base in (SKEW_HEISENBERG_DOC, matrix_doc):
+            for path in numeric_leaves(base):
+                for value in DIAGNOSTIC_VALUES:
+                    doc = json.loads(json.dumps(base))
+                    *parents, last = path
+                    node = doc
+                    for key in parents:
+                        node = node[key]
+                    node[last] = value
+                    docs.append(doc)
+        skew_overflow = json.loads(json.dumps(matrix_doc))
+        skew_overflow["contorsion"]["matrix"] = [
+            [1e308, 1e308, 0.0], [-1e308, 1e308, 0.0], [0.0, 0.0, 1.0]]
+        docs.append(skew_overflow)
+        codes = set()
+        for doc in docs:
+            path = write_doc(tmp_path, doc)
+            for argv in (["check", path, "--json"], ["classify", path]):
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter("always")
+                    code = cli.main(argv)
+                captured = capsys.readouterr()
+                context = f"{argv[0]} {json.dumps(doc)}"
+                assert [str(w.message) for w in seen] == [], context
+                assert code in (0, 1, 2), context
+                assert captured.err == "" or (
+                    captured.err.startswith("error: ") and captured.err.count("\n") == 1
+                ), context
+                assert (captured.out == "") == (code == 2), context
+                codes.add(code)
+        assert codes == {0, 1, 2}
 
     @pytest.mark.parametrize("command", ["check", "sweep"])
     @pytest.mark.parametrize(

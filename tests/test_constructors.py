@@ -58,6 +58,28 @@ class TestGenericReducible:
         with pytest.raises(DegeneratesToSkew):
             constructors.construct_generic_reducible(1.0, -0.5, +1)
 
+    def test_agrees_with_the_report_on_skewness(self):
+        # kappa = 1 and alpha = (1 - gamma)/2 give gamma: a member either
+        # raises or has torsion that its report does not treat as skew
+        gammas = [1e-13, 5e-12, 1e-11, 1e-10, 2e-10, 1e-6]
+        scalars = np.array([-2.0 * ((1.0 - gamma) / 2.0) ** 2 for gamma in gammas])
+        built = []
+        for scalar in scalars:
+            try:
+                member = constructors.construct_generic_reducible(1.0, scalar)
+            except DegeneratesToSkew:
+                continue
+            assert not member.scenario.contorsion.is_pure_skew_torsion()
+            assert residuals.full_report(member.scenario).remark_identity is None
+            built.append(scalar)
+        # the band of Contorsion.is_pure_skew_torsion: |gamma| <= 1.5 SKEW_TOL
+        assert built == scalars[-2:].tolist()
+        with pytest.raises(DegeneratesToSkew):
+            constructors.construct_generic_reducible(1.0, scalars)
+        batch = constructors.construct_generic_reducible(1.0, np.array(built))
+        assert not batch.scenario.contorsion.is_pure_skew_torsion().any()
+        assert residuals.full_report(batch.scenario).remark_identity is None
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(NonNegativeScalar):
             constructors.construct_generic_reducible(1.0, 0.0, +1)
