@@ -15,7 +15,8 @@ The contorsion may alternatively be {"matrix": [[...], [...], [...]]}
 (row-major 3x3), with no other key.  Every number must be a finite JSON
 number, not a string or a boolean; a key that docs/scenario.schema.json does
 not name is rejected.  Exit codes: 0 = SOLUTION, 1 = NOT_SOLUTION, 2 = input
-or parameter error.  The commands raise, and ``main`` alone reports an error:
+or parameter error.  The commands raise, and ``main`` reports an error (a
+check of many files also reports each failed file; ``_error`` writes both):
 one message on stderr and exit code 2, also for JSON nested too deeply, for
 an allocation past memory (a sweep of 10^13 points), for a rejected value
 of any size (echoed shortened by ``reprlib.repr``) and for a failed write to
@@ -24,14 +25,31 @@ of diagnostics; a stdout closed at start is a failed write, and a line that
 stderr cannot take is dropped, with the exit code unchanged.  The residual
 tolerance DEFAULT_TOL can be overridden with --tol or the HET3_TOL
 environment variable; it must be positive and finite.
+
+``check PATH [PATH ...]`` checks every file in one batched pass (in blocks
+of CHECK_BLOCK files): each document is parsed to plain floats, the valid
+ones become one scenario (batch shape (N,), or () for one file, the N = 1
+case), and that scenario goes through one validate, one full_report and one
+classify.  Each file's output is byte for byte what its own check writes, in
+the order of the paths, and the exit code is the worst over the files (2
+over 1 over 0).  With more than one path, a file that fails writes
+``error: PATH: message`` and the others still get their reports; with one
+path the error line is ``error: message``, written by ``main``.  A batch
+that raises is checked again file by file, only then, so that each file gets
+its own error.  Text output computes neither identity.  JSON reports are
+written from a layout per report shape (remark_identity null or not,
+simple_axis null or not): the walk that writes the first report of a shape
+records its layout, and every later report of that shape fills its slots.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import re
 import reprlib
@@ -60,8 +78,6 @@ class ScenarioFileError(Exception):
 def _float_token(x: float) -> str:
     """x rounded to 12 significant digits (zero unsigned), written as
     json.dumps writes a float."""
-    if not math.isfinite(x):
-        return json.dumps(x)
     if x == 0:
         return "0.0"
     text = "%.12g" % x
@@ -71,43 +87,61 @@ def _float_token(x: float) -> str:
     # 12 digits, be skipped.
     if ("." in text and "e" not in text) or ("e-" in text and abs(x) >= 1e-307):
         return text
+    if not math.isfinite(x):
+        return json.dumps(x)
     return float.__repr__(float(text))
 
 
-def _emit(obj, indent: str, out: list) -> None:
+def _emit(obj, indent: str, out: list, slots: list) -> None:
     """Append ``obj`` as json.dumps(..., indent=2) writes it at depth
-    ``indent``, with every float rounded as ``_float_token`` rounds it; a leaf
-    that no report holds (bool, int, empty container) goes to json.dumps."""
+    ``indent``, with every float rounded as ``_float_token`` rounds it, and
+    record in ``slots`` the index in ``out`` of each float and string token;
+    a leaf that no report holds (bool, int, empty container) goes to
+    json.dumps."""
     if isinstance(obj, float):
+        slots.append(len(out))
         out.append(_float_token(obj))
+    elif isinstance(obj, str):
+        slots.append(len(out))
+        out.append(_json_str(obj))
     elif isinstance(obj, (list, tuple)) and obj:
         inner = indent + "  "
         head = "[\n" + inner
         for item in obj:
+            out.append(head)
             if isinstance(item, float):  # a grid row: no recursion per entry
-                out.append(head + _float_token(item))
+                slots.append(len(out))
+                out.append(_float_token(item))
             else:
-                out.append(head)
-                _emit(item, inner, out)
+                _emit(item, inner, out, slots)
             head = ",\n" + inner
         out.append("\n" + indent + "]")
     elif isinstance(obj, dict) and obj:
         inner = indent + "  "
         head = "{\n" + inner
         for key, value in obj.items():
+            out.append(head + _json_str(key) + ": ")
             if isinstance(value, float):  # a scalar field: no recursion
-                out.append(head + _json_str(key) + ": " + _float_token(value))
+                slots.append(len(out))
+                out.append(_float_token(value))
             else:
-                out.append(head + _json_str(key) + ": ")
-                _emit(value, inner, out)
+                _emit(value, inner, out, slots)
             head = ",\n" + inner
         out.append("\n" + indent + "}")
-    elif isinstance(obj, str):
-        out.append(_json_str(obj))
     elif obj is None:
         out.append("null")
     else:
         out.append(json.dumps(obj))
+
+
+def _walk(doc) -> tuple[list, list]:
+    """The pieces of ``dump_json(doc)``, and the indices of its float and
+    string tokens among them."""
+    out: list = []
+    slots: list = []
+    _emit(doc, "", out, slots)
+    out.append("\n")
+    return out, slots
 
 
 def dump_json(doc) -> str:
@@ -115,10 +149,21 @@ def dump_json(doc) -> str:
     one walk: the bytes that ``json.dumps`` with ``indent=2`` writes for the
     document with its floats rounded, without its pure-Python indenting
     encoder (CPython's C encoder does not indent)."""
-    out: list = []
-    _emit(doc, "", out)
-    out.append("\n")
-    return "".join(out)
+    return "".join(_walk(doc)[0])
+
+
+def _dump_with_layout(doc) -> tuple[str, str]:
+    """``dump_json(doc)``, and from the same walk the layout of its shape:
+    the text with each float and string token a ``%s`` slot and each other
+    ``%`` doubled, so that ``layout % tokens`` writes any document of that
+    shape from the tokens of its leaves in document order."""
+    out, slots = _walk(doc)
+    text = "".join(out)
+    if "%" in text:
+        out = [piece.replace("%", "%%") for piece in out]
+    for n in slots:
+        out[n] = "%s"
+    return text, "".join(out)
 
 
 def tolerance(flag: float | None) -> float:
@@ -142,26 +187,35 @@ def _is_number(value) -> bool:
     )
 
 
+def _is_index(value) -> bool:
+    """A frame index of the schema: 1, 2 or 3, as an integer or a float."""
+    return type(value) is not bool and value in (1, 2, 3)
+
+
 def _numbers(value, shape: tuple) -> bool:
     """Whether value is nested lists of numbers of the given shape."""
-    if not shape:
-        return _is_number(value)
-    return isinstance(value, (list, tuple)) and len(value) == shape[0] and all(
-        _numbers(v, shape[1:]) for v in value
-    )
+    if not isinstance(value, (list, tuple)) or len(value) != shape[0]:
+        return False
+    if len(shape) == 1:
+        return all(map(_is_number, value))
+    return all(_numbers(v, shape[1:]) for v in value)
 
 
 def _not_finite(where: str) -> ScenarioFileError:
     return ScenarioFileError(f"{where} must be finite (no NaN or inf)")
 
 
-def _array(value, where: str, shape: tuple) -> np.ndarray:
+def _floats(value, where: str, shape: tuple) -> list:
+    """A vector (3,) or grid (3, 3) of JSON numbers as lists of plain floats,
+    each the float that np.array(value, dtype=float) holds."""
     if not _numbers(value, shape):
         raise ScenarioFileError(
             f"{where} must be numbers of shape {shape}, got {reprlib.repr(value)}"
         )
     try:
-        return np.array(value, dtype=float)
+        if len(shape) == 1:
+            return [float(v) for v in value]
+        return [[float(v) for v in row] for row in value]
     except OverflowError as exc:  # an integer literal past the float range
         raise _not_finite(where) from exc
 
@@ -186,18 +240,22 @@ def _check_fields(obj: dict, required: tuple, optional: tuple, where: str) -> No
             raise ScenarioFileError(f"{where}unknown field {reprlib.repr(key)}")
 
 
-def parse_scenario(doc: dict) -> residuals.SolitonScenario:
-    """Parse a scenario JSON document, with field-level diagnostics.
+def _fields(doc) -> tuple:
+    """Parse a scenario document to plain floats, with field-level diagnostics:
+    (entries, contorsion, h, kappa, phi), where entries maps each 0-based
+    index triple (i, j, k), i < j, to the sum of its values in file order,
+    and contorsion is the grid as rows or the checked normal form.
 
     Accepts the language of docs/scenario.schema.json, and on top of it
-    requires i < j, finite numbers and a valid model and contorsion.
+    requires i < j, finite numbers (where they overflow here) and a unit xi;
+    the scenario that ``_scenario`` builds is validated as a whole.
     """
     if not isinstance(doc, dict):
         raise ScenarioFileError("scenario document must be a JSON object")
     _check_fields(doc, ("structure_constants", "contorsion", "h", "kappa"), ("phi",), "")
     if not isinstance(doc["structure_constants"], list):
         raise ScenarioFileError("structure_constants must be a list of [i, j, k, value]")
-    entries = []
+    entries: dict = {}
     for n, row in enumerate(doc["structure_constants"]):
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise ScenarioFileError(
@@ -205,22 +263,22 @@ def parse_scenario(doc: dict) -> residuals.SolitonScenario:
             )
         i, j, k, v = row
         # 2.0 is an integer to the schema, True is not
-        if not all(_is_number(x) and x in (1, 2, 3) for x in (i, j, k)):
+        if not (_is_index(i) and _is_index(j) and _is_index(k)):
             raise ScenarioFileError(
                 f"structure_constants[{n}]: indices must be integers in 1..3"
             )
         if not i < j:
             raise ScenarioFileError(f"structure_constants[{n}]: requires i < j")
         value = _number(v, f"structure_constants[{n}] value")
-        entries.append((int(i) - 1, int(j) - 1, int(k) - 1, value))
-    model = geometry.StructureConstants.from_entries(entries)
+        key = (int(i) - 1, int(j) - 1, int(k) - 1)
+        entries[key] = entries.get(key, 0.0) + value
 
     ct_doc = doc["contorsion"]
     if not isinstance(ct_doc, dict):
         raise ScenarioFileError("contorsion must be an object")
     if "matrix" in ct_doc:
         _check_fields(ct_doc, ("matrix",), (), "contorsion: ")
-        contorsion = torsion.Contorsion(_array(ct_doc["matrix"], "contorsion.matrix", (3, 3)))
+        contorsion = _floats(ct_doc["matrix"], "contorsion.matrix", (3, 3))
     else:
         _check_fields(ct_doc, ("alpha", "beta", "gamma", "xi"), (), "contorsion: ")
         if _number(ct_doc["beta"], "contorsion.beta") != 0.0:
@@ -229,22 +287,74 @@ def parse_scenario(doc: dict) -> residuals.SolitonScenario:
                 "projection delta xi = 2 beta forces beta = 0"
             )
         try:
-            params = torsion.ReducibleTorsionParams(
+            contorsion = torsion.ReducibleTorsionParams(
                 alpha=_number(ct_doc["alpha"], "contorsion.alpha"),
                 beta=0.0,
                 gamma=_number(ct_doc["gamma"], "contorsion.gamma"),
-                xi=_array(ct_doc["xi"], "contorsion.xi", (3,)),
+                xi=_floats(ct_doc["xi"], "contorsion.xi", (3,)),
             )
         except Het3Error as exc:
             raise ScenarioFileError(f"contorsion: {exc}") from exc
-        contorsion = torsion.build_reducible(params)
 
     h = _number(doc["h"], "h")
     kappa = _number(doc["kappa"], "kappa")
-    phi = _array(doc.get("phi", [0.0, 0.0, 0.0]), "phi", (3,))
-    sc = residuals.SolitonScenario(
-        model=model, contorsion=contorsion, h=h, kappa=kappa, phi=phi
+    return entries, contorsion, h, kappa, _floats(doc.get("phi", [0.0, 0.0, 0.0]), "phi", (3,))
+
+
+def _scenario(files: list) -> residuals.SolitonScenario:
+    """The parsed documents (``_fields``) as one scenario, not yet validated:
+    one model, one contorsion, and h, kappa and phi.  N documents make a
+    batch of shape (N,), and one document batch shape (), the N = 1 case of
+    every kernel.  Every sample is bit for bit its document's own scenario."""
+    entries, contorsions, h, kappa, phi = zip(*files)
+    # a column of per-document values: an array, or the one document's value
+    stack = np.array if len(files) > 1 else operator.itemgetter(0)
+    # One column per index triple: each document's sum of its values, or
+    # 0.0.  from_entries adds a column into zero rows, where adding the
+    # values one by one gives the same bits; a batch with no entry is flat.
+    columns: dict = {}
+    for m, document in enumerate(entries):
+        for key, value in document.items():
+            columns.setdefault(key, [0.0] * len(files))[m] = value
+    model = geometry.StructureConstants.from_entries(
+        [(*key, stack(column)) for key, column in columns.items()]
+        or [(0, 1, 0, stack([0.0] * len(files)))]
     )
+    return residuals.SolitonScenario(
+        model=model,
+        contorsion=_contorsion(contorsions),
+        h=stack(h),
+        kappa=stack(kappa),
+        phi=stack(phi),
+    )
+
+
+def _contorsion(forms: tuple) -> torsion.Contorsion:
+    """The contorsion of one document (batch shape ()), or of several as one
+    batch: the checked normal forms through one build_reducible, and each
+    grid given as rows as it is."""
+    normal = [m for m, form in enumerate(forms) if type(form) is not list]
+    if len(normal) == len(forms):
+        params = forms[0] if len(forms) == 1 else torsion.ReducibleTorsionParams(
+            alpha=np.array([p.alpha for p in forms]),
+            beta=0.0,
+            gamma=np.array([p.gamma for p in forms]),
+            xi=np.array([p.xi for p in forms]),
+        )
+        return torsion.build_reducible(params)
+    if not normal:
+        return torsion.Contorsion(np.array(forms) if len(forms) > 1 else forms[0])
+    a = np.empty((len(forms), 3, 3))  # both forms in one batch
+    a[normal] = _contorsion([forms[m] for m in normal]).a
+    given = [m for m, form in enumerate(forms) if type(form) is list]
+    a[given] = [forms[m] for m in given]
+    return torsion.Contorsion(a)
+
+
+def parse_scenario(doc: dict) -> residuals.SolitonScenario:
+    """Parse and validate a scenario JSON document (``_fields``), as a
+    scenario of batch shape () (``_scenario``)."""
+    sc = _scenario([_fields(doc)])
     try:
         sc.validate()
     except Het3Error as exc:
@@ -252,10 +362,13 @@ def parse_scenario(doc: dict) -> residuals.SolitonScenario:
     return sc
 
 
-def load_scenario(path: str) -> residuals.SolitonScenario:
+def _read(path: str):
+    """The JSON document in the file at path, read as UTF-8 text with
+    universal newlines (the newlines of open's text mode), in fewer steps."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
+        return json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except OSError as exc:
         raise ScenarioFileError(f"cannot read {path}: {exc}") from exc
     except RecursionError as exc:
@@ -264,7 +377,10 @@ def load_scenario(path: str) -> residuals.SolitonScenario:
         raise ScenarioFileError(f"{path}: invalid JSON at line {exc.lineno}") from exc
     except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
         raise ScenarioFileError(f"{path}: {exc}") from exc
-    return parse_scenario(doc)
+
+
+def load_scenario(path: str) -> residuals.SolitonScenario:
+    return parse_scenario(_read(path))
 
 
 def _discard(stream) -> None:
@@ -331,51 +447,178 @@ def scenario_to_doc(built: constructors.ConstructedSoliton) -> dict:
     }
 
 
-def classification_doc(verdict: constructors.ClassificationVerdict) -> dict:
+def _at(value, n: tuple):
+    """Sample n of a batch's value, or a single scenario's value (n = ())."""
+    return value[n] if n else value
+
+
+def _present(value, n: tuple):
+    """Sample n of a value that a sample may lack: None where a single
+    scenario has None, or a batch has NaN."""
+    if value is None:
+        return None
+    value = value[n]
+    return None if math.isnan(value.item(0)) else value
+
+
+def classification_doc(verdict: constructors.ClassificationVerdict, n: tuple = ()) -> dict:
+    """The classification of a scenario, or of sample n of a batch."""
+    axis = _present(verdict.simple_axis, n)
     return {
-        "kind": verdict.kind,
-        "ricci_eigenvalues": verdict.ricci_eigenvalues.tolist(),
-        "simple_axis": None if verdict.simple_axis is None else verdict.simple_axis.tolist(),
+        "kind": _at(verdict.kind, n),
+        "ricci_eigenvalues": verdict.ricci_eigenvalues[n].tolist(),
+        "simple_axis": None if axis is None else axis.tolist(),
     }
 
 
-def report_doc(sc, report, classification) -> dict:
+def report_doc(sc, report, classification, n: tuple = ()) -> dict:
+    """The report document of a scenario, or of sample n of a batch."""
     return {
-        "verdict": report.verdict,
-        "norms": dict(report.norms),
+        "verdict": _at(report.verdict, n),
+        "norms": {name: norm[n] for name, norm in report.norms.items()},
         "residuals": {
-            "einstein_sym": report.einstein_sym.tolist(),
-            "einstein_skew": report.einstein_skew.tolist(),
-            "yang_mills": report.yang_mills.tolist(),
-            "dilaton": report.dilaton,
-            "maxwell": report.maxwell.tolist(),
-            "trace_identity": report.trace_identity,
-            "remark_identity": report.remark_identity,
+            "einstein_sym": report.einstein_sym[n].tolist(),
+            "einstein_skew": report.einstein_skew[n].tolist(),
+            "yang_mills": report.yang_mills[n].tolist(),
+            "dilaton": report.dilaton[n],
+            "maxwell": report.maxwell[n].tolist(),
+            "trace_identity": report.trace_identity[n],
+            "remark_identity": _present(report.remark_identity, n),
         },
-        "classification": classification_doc(classification),
+        "classification": classification_doc(classification, n),
         "inputs": {
-            "h": sc.h,
-            "kappa": sc.kappa,
-            "phi": sc.phi.tolist(),
+            "h": _at(sc.h, n),
+            "kappa": _at(sc.kappa, n),
+            "phi": sc.phi[n].tolist(),
         },
         "tolerance": report.tolerance,
         "tool_version": __version__,
     }
 
 
-def cmd_check(args) -> int:
-    tol = tolerance(args.tol)
-    sc = load_scenario(args.path)
+# Report layouts by shape, (remark_identity null, simple_axis null): each is
+# recorded by the walk that writes the first report of its shape.
+_LAYOUTS: dict = {}
+
+
+def _json_report(sc, report, classification, n: tuple) -> str:
+    """``dump_json(report_doc(sc, report, classification, n))``.  The first
+    report of a shape is written by the walk that records the shape's
+    layout; every later one fills that layout with the tokens of its leaves,
+    which it takes in the order of report_doc, without the null ones."""
+    # the identities in report_doc's order, which decides which fails first
+    trace = report.trace_identity[n]
+    remark = _present(report.remark_identity, n)
+    axis = _present(classification.simple_axis, n)
+    layout = _LAYOUTS.get((remark is None, axis is None))
+    if layout is None:
+        text, _LAYOUTS[remark is None, axis is None] = _dump_with_layout(
+            report_doc(sc, report, classification, n))
+        return text
+    floats = [norm[n] for norm in report.norms.values()]
+    for grid in (report.einstein_sym, report.einstein_skew, report.yang_mills):
+        floats += grid[n].ravel().tolist()
+    floats += (report.dilaton[n], *report.maxwell[n].tolist(), trace)
+    if remark is not None:
+        floats.append(remark)
+    residual_leaves = len(floats)  # the leaves before the classification's kind
+    floats += classification.ricci_eigenvalues[n].tolist()
+    if axis is not None:
+        floats += axis.tolist()
+    floats += (_at(sc.h, n), _at(sc.kappa, n), *sc.phi[n].tolist(), report.tolerance)
+    # a zero, most of an exact solution's residuals, without the call
+    tokens = ["0.0" if x == 0 else _float_token(x) for x in floats]
+    return layout % (
+        _json_str(_at(report.verdict, n)),
+        *tokens[:residual_leaves],
+        _json_str(_at(classification.kind, n)),
+        *tokens[residual_leaves:],
+        _json_str(__version__),
+    )
+
+
+def _text_report(sc, report, classification, n) -> str:
+    """The text report of sample n: its verdict, norms and kind, so that
+    neither identity is computed."""
+    return "".join(
+        [f"verdict: {_at(report.verdict, n)}  (tolerance {report.tolerance:g})\n"]
+        + [f"  {name:<14s} {norm[n]:.12g}\n" for name, norm in report.norms.items()]
+        + [f"  classification: {_at(classification.kind, n)}\n"]
+    )
+
+
+def _check_batch(files: list, tol: float, as_json: bool) -> list:
+    """(output text, exit code) per parsed document, from one scenario
+    (``_scenario``) through one validate, one full_report and one classify."""
+    sc = _scenario(files)
     report = residuals.full_report(sc, tol=tol)
     classification = constructors.classify(sc)
-    doc = report_doc(sc, report, classification)
-    text = dump_json(doc) if args.json else "".join(
-        [f"verdict: {report.verdict}  (tolerance {tol:g})\n"]
-        + [f"  {name:<14s} {value:.12g}\n" for name, value in report.norms.items()]
-        + [f"  classification: {classification.kind}\n"]
+    render = _json_report if as_json else _text_report
+    solved = report.is_solution
+    return [
+        (render(sc, report, classification, n),
+         EXIT_SOLUTION if _at(solved, n) else EXIT_NOT_SOLUTION)
+        # each index of the batch shape: the one () of a single scenario
+        for n in itertools.product(*map(range, report.worst.shape))
+    ]
+
+
+def _check_alone(fields: tuple, tol: float, as_json: bool):
+    """(output text, exit code) of one parsed document checked alone, or
+    the error that main reports for it."""
+    try:
+        return _check_batch([fields], tol, as_json)[0]
+    except _ERRORS as exc:
+        return exc
+
+
+# Files per batch of a check: memory stays bounded at any number of files.
+CHECK_BLOCK = 1024
+
+
+def _check_files(paths: list, tol: float, as_json: bool, named: bool) -> int:
+    """Check the files at paths in one batch and write their reports to
+    stdout, in order; return the worst exit code.  A file's error is an
+    error line that names the file when ``named``, and is raised otherwise
+    (a single path: main writes its line).  Only when the batch raises is
+    each file checked alone, so that each gets its own error."""
+    files, failed = [], {}  # the parsed documents; the error at each other position
+    for n, path in enumerate(paths):
+        try:
+            files.append(_fields(_read(path)))
+        except _ERRORS as exc:
+            if not named:
+                raise
+            failed[n] = exc
+    results = []
+    if files:
+        try:
+            results = _check_batch(files, tol, as_json)
+        except _ERRORS:
+            if not named:
+                raise
+            results = [_check_alone(f, tol, as_json) for f in files]
+    results = iter(results)
+    code, texts = EXIT_SOLUTION, []
+    for n, path in enumerate(paths):
+        result = failed[n] if n in failed else next(results)
+        if type(result) is tuple:
+            texts.append(result[0])
+            code = max(code, result[1])
+        else:
+            code = _error(result, path)
+    if texts:
+        write_output(None, "".join(texts))
+    return code
+
+
+def cmd_check(args) -> int:
+    tol = tolerance(args.tol)
+    paths = args.paths
+    return max(
+        _check_files(paths[start:start + CHECK_BLOCK], tol, args.json, len(paths) > 1)
+        for start in range(0, len(paths), CHECK_BLOCK)
     )
-    write_output(None, text)
-    return EXIT_SOLUTION if report.is_solution else EXIT_NOT_SOLUTION
 
 
 # family -> (constructor of the parsed arguments, whether it needs --scalar)
@@ -446,8 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"het3 {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", help="evaluate all residuals of a scenario file")
-    c.add_argument("path")
+    c = sub.add_parser("check", help="evaluate all residuals of each scenario file")
+    c.add_argument("paths", nargs="+", metavar="path")
     c.add_argument("--tol", type=float, default=None, help=(
         f"residual tolerance (default {residuals.DEFAULT_TOL:g}, env HET3_TOL)"))
     c.add_argument("--json", action="store_true", help="emit the full JSON report")
@@ -502,15 +745,26 @@ def _parse_args(argv) -> argparse.Namespace:
     return args
 
 
+# The errors that main, and a check of many files per file, report as one
+# error line with exit code 2
+_ERRORS = (ScenarioFileError, Het3Error, MemoryError)
+
+
+def _error(exc: BaseException, path: str | None = None) -> int:
+    """Write the error line of exc, naming path if given; EXIT_ERROR."""
+    where = "" if path is None else f"{path}: "
+    _write_stderr(f"error: {where}{str(exc) or 'out of memory'}\n")
+    return EXIT_ERROR
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     # by name at call time, so a handler replaced after the first call is seen
     handler = globals()[f"cmd_{args.command}"]
     try:
         return handler(args)
-    except (ScenarioFileError, Het3Error, MemoryError) as exc:
-        _write_stderr(f"error: {str(exc) or 'out of memory'}\n")
-        return EXIT_ERROR
+    except _ERRORS as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

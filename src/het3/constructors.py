@@ -155,10 +155,11 @@ def construct_generic_reducible(kappa, scalar, sign: int = +1) -> ConstructedSol
     built = _constructed(HEISENBERG_GENERIC, geometry.heisenberg, 2.0 * alpha,
                          alpha=alpha, gamma=gamma, h=h, scalar=scalar, kappa=kappa)
     # the rule a report applies to decide whether the torsion is skew
-    if built.scenario.contorsion.is_pure_skew_torsion().any():
+    skew = built.scenario.contorsion.is_pure_skew_torsion()
+    if skew.any():
         raise DegeneratesToSkew(
-            "gamma = 0: these parameters give purely skew torsion, "
-            "use the skew Heisenberg constructor"
+            f"gamma = {_first(built.gamma, skew):g}: the torsion is purely skew within "
+            f"SKEW_TOL = {torsion.SKEW_TOL:g}, use the skew Heisenberg constructor"
         )
     return built
 

@@ -94,8 +94,11 @@ def dot(u, v) -> np.ndarray:
     """Dot product over the last axis, batched over the leading ones.
 
     Built on matmul, so each sample is bit-identical to ``u @ v`` on
-    vectors (a plain ``(u * v).sum(-1)`` can differ in the last bit).
+    vectors (a plain ``(u * v).sum(-1)`` can differ in the last bit); two
+    vectors get ``u @ v`` itself.
     """
+    if u.ndim == 1 and v.ndim == 1:
+        return u @ v
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 

@@ -263,13 +263,17 @@ def yang_mills_residual(sc: SolitonScenario) -> np.ndarray:
     )
 
 
+def _alpha_ric0(sc: SolitonScenario) -> tuple[np.ndarray, np.ndarray]:
+    """alpha = tr(A)/3 and the traceless Ricci tensor Ric_0, per sample."""
+    data = sc.curvature_g
+    return sc.contorsion.trace_part, data.ricci - _per_grid(data.scalar / 3.0) * IDENTITY
+
+
 def _skew_alpha_ric0(sc: SolitonScenario) -> tuple[np.ndarray, np.ndarray]:
     """alpha and Ric_0 of a scenario with contorsion alpha g in every sample."""
-    ct = sc.contorsion
-    if not ct.is_pure_skew_torsion().all():
+    if not sc.contorsion.is_pure_skew_torsion().all():
         raise NotSkewTorsion("contorsion is not of the form alpha * g")
-    data = sc.curvature_g
-    return ct.trace_part, data.ricci - _per_grid(data.scalar / 3.0) * IDENTITY
+    return _alpha_ric0(sc)
 
 
 def yang_mills_skew_path(sc: SolitonScenario) -> np.ndarray:
@@ -324,13 +328,19 @@ def remark_identity_residual(sc: SolitonScenario) -> np.ndarray:
     Equals trace(einstein_residual) - trace_identity_residual.  Requires
     contorsion alpha g in every sample of a batch.
     """
-    alpha, ric0 = _skew_alpha_ric0(sc)
+    return _remark(sc, *_skew_alpha_ric0(sc))
+
+
+def _remark(sc: SolitonScenario, alpha: np.ndarray, ric0: np.ndarray) -> np.ndarray:
+    """The recombined identity of ``remark_identity_residual``, unchecked."""
     s = sc.curvature_g.scalar
     return (
         2.0 * sc.kappa * (ric0 * ric0).sum(axis=(-2, -1))
         + 2.0 * sc.phi_sq
         - 2.0 * sc.h * sc.h
-        + (sc.kappa / 6.0) * (s - 6.0 * alpha * alpha) ** 2
+        # pow, not the x * x of an array's ** 2: a sample's bits do not
+        # depend on its batch shape, and they are the single scenario's
+        + (sc.kappa / 6.0) * np.float_power(s - 6.0 * alpha * alpha, 2)
         + 2.0 * sc.delta_phi
     )
 
@@ -377,14 +387,18 @@ class ResidualReport:
 
     @cached_property
     def remark_identity(self) -> np.ndarray | None:
-        """``remark_identity_residual`` when every sample has skew torsion,
-        otherwise None."""
-        try:
-            with np.errstate(**_OVERFLOW_QUIET):
-                remark = remark_identity_residual(self.scenario)
-        except NotSkewTorsion:
+        """``remark_identity_residual`` at the samples with skew torsion: None
+        when no sample has it, and NaN at the samples of a batch without it.
+        Only the skew samples are checked finite."""
+        skew = self.scenario.contorsion.is_pure_skew_torsion()
+        if not skew.any():
             return None
-        return _finite("remark identity residual", remark)
+        with np.errstate(**_OVERFLOW_QUIET):
+            remark = _remark(self.scenario, *_alpha_ric0(self.scenario))
+        if skew.all():
+            return _finite("remark identity residual", remark)
+        _finite("remark identity residual", remark[skew])
+        return np.where(skew, remark, np.nan)
 
 
 def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport:

@@ -17,7 +17,8 @@ and is therefore rejected by scenario validation, though the algebra here
 accepts it.
 
 Contorsions and connection coefficients accept leading batch axes
-(A has shape (..., 3, 3)); a single contorsion is batch shape ().
+(A has shape (..., 3, 3)); a single contorsion is batch shape ().  So do
+the reducible normal form's parameters, the axis xi included.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .frame import (
     as_grid,
     as_vec,
     cached_property,
+    dot,
     star_matrix,
 )
 
@@ -86,7 +88,8 @@ class Contorsion:
 class ReducibleTorsionParams:
     """Normal-form parameters (alpha, beta, gamma) along a unit axis xi.
 
-    alpha, beta and gamma may be arrays of a batch; xi is one axis for all.
+    alpha, beta and gamma may be arrays of a batch, and xi (..., 3) one axis
+    per sample or one for all; each axis must be a unit vector up to UNIT_TOL.
     """
 
     alpha: float | np.ndarray
@@ -95,11 +98,14 @@ class ReducibleTorsionParams:
     xi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", as_vec(self.xi))
+        xi = as_vec(self.xi)
+        object.__setattr__(self, "xi", xi)
         with np.errstate(over="ignore"):
-            norm_sq = float(self.xi @ self.xi)
-        if abs(norm_sq - 1.0) > UNIT_TOL:
-            raise NonUnitAxis(f"|xi|^2 = {norm_sq:g}")
+            norm_sq = dot(xi, xi)
+        # a NaN axis passes here, and its NaN contorsion fails validation
+        off = abs(norm_sq - 1.0) > UNIT_TOL
+        if off.any():
+            raise NonUnitAxis(f"|xi|^2 = {np.asarray(norm_sq)[off][0]:g}")
 
 
 def build_reducible(params: ReducibleTorsionParams) -> Contorsion:
@@ -111,7 +117,7 @@ def build_reducible(params: ReducibleTorsionParams) -> Contorsion:
         a = (
             _per_grid(params.alpha) * IDENTITY
             + _per_grid(params.beta) * star_matrix(xi)
-            + _per_grid(params.gamma) * np.outer(xi, xi)
+            + _per_grid(params.gamma) * (xi[..., :, None] * xi[..., None, :])
         )
     return Contorsion(a)
 

@@ -155,6 +155,23 @@ class TestRandomBatches:
             assert report.verdict[n] == single.verdict
             assert report.is_solution[n] == single.is_solution
 
+    def test_remark_identity_at_the_skew_samples(self):
+        # a batch of mixed torsion: the remark identity of each skew sample
+        # is its own, bit for bit, and NaN stands at the other samples
+        scenarios = [
+            constructors.construct_skew_heisenberg(0.7).scenario,
+            constructors.construct_generic_reducible(0.7, -2.0).scenario,
+            constructors.construct_hyperbolic_skew(2.0, -6.0).scenario,
+            constructors.boundary_vanishing_torsion(3.0).scenario,
+        ]
+        remark = residuals.full_report(residuals.SolitonScenario.stack(scenarios)).remark_identity
+        for n, sc in enumerate(scenarios):
+            single = residuals.full_report(sc).remark_identity
+            if n == 1:
+                assert single is None and np.isnan(remark[n])
+            else:
+                assert remark[n] == single == residuals.remark_identity_residual(sc)
+
     def test_single_scenario_is_batch_shape_empty(self):
         built = constructors.construct_hyperbolic_skew(1.0, -6.0)
         report = residuals.full_report(built.scenario)

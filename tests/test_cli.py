@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -608,9 +609,9 @@ class TestParserOnce:
         path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
         assert cli.main(["check", path]) == 0
         seen = []
-        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.path) or 7)
+        monkeypatch.setattr(cli, "cmd_check", lambda args: seen.append(args.paths) or 7)
         assert cli.main(["check", path]) == 7
-        assert seen == [path]
+        assert seen == [[path]]
 
     @pytest.mark.parametrize("argv, prog", [
         (["sweep", "--kappa", "1", "--points", "2"], "het3 sweep"),
@@ -1083,3 +1084,178 @@ class TestPlainFloats:
         captured = capsys.readouterr()
         assert_one_error(captured)
         assert captured.err == f"error: {where} must be finite (no NaN or inf)\n"
+
+
+def run_main(capsys, argv):
+    """(exit code, stdout, stderr) of one main call."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def many_file_documents(tmp_path):
+    """Paths of documents for a check of many files, in order, and by kind:
+    "valid" (each family at two kappas, perturbed members, a non-skew
+    non-solution and a repeated path), "phi_overflow" (a skew member whose
+    trace identity overflows: an error with --json only), "unreadable" (a
+    malformed and a missing file) and "ricci_overflow" (a Ricci tensor past
+    the float range)."""
+    docs = report_documents()
+    docs["perturbed_generic"] = dict(docs["heisenberg-generic@0.37"], h=1.2)
+    docs["perturbed_hyperbolic"] = dict(docs["hyperbolic@20.0"], kappa=21.0)
+    kinds = {"valid": [write_doc(tmp_path, doc, f"{name}.json") for name, doc in docs.items()]}
+    kinds["valid"].append(kinds["valid"][0])
+    kinds["phi_overflow"] = [
+        write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, phi=[1e154, 0.0, 0.0]), "phi.json")]
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    kinds["unreadable"] = [str(malformed), str(tmp_path / "missing.json")]
+    kinds["ricci_overflow"] = [write_doc(
+        tmp_path, dict(SKEW_HEISENBERG_DOC, structure_constants=[[1, 2, 3, 1e200]]), "ricci.json")]
+    valid = kinds["valid"]
+    paths = (valid[:3] + kinds["unreadable"] + valid[3:6] + kinds["phi_overflow"]
+             + kinds["ricci_overflow"] + valid[6:])
+    return paths, kinds
+
+
+class TestManyFiles:
+    """check over many paths writes what each path's own check writes."""
+
+    @pytest.mark.parametrize("flag", [["--json"], []], ids=["json", "text"])
+    def test_each_file_alone(self, tmp_path, capsys, flag):
+        paths, _ = many_file_documents(tmp_path)
+        alone = [run_main(capsys, ["check", path] + flag) for path in paths]
+        code, out, err = run_main(capsys, ["check", *paths] + flag)
+        assert out == "".join(single_out for _, single_out, _ in alone)
+        assert code == max(single_code for single_code, _, _ in alone) == 2
+        # one line per bad file, in order, naming the file before its error
+        assert err.splitlines() == [
+            f"error: {path}: {single_err[len('error: '):-1]}"
+            for path, (_, _, single_err) in zip(paths, alone) if single_err
+        ]
+        assert {c for c, _, _ in alone} == {0, 1, 2}
+        assert len(err.splitlines()) == (4 if flag else 3)
+
+    def test_one_report_for_the_valid_files(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        full_report = residuals.full_report
+
+        def counted(sc, tol):
+            calls.append(np.shape(sc.h))
+            return full_report(sc, tol=tol)
+
+        monkeypatch.setattr(residuals, "full_report", counted)
+        _, kinds = many_file_documents(tmp_path)
+        valid = kinds["valid"]
+        assert cli.main(["check", *valid, "--json"]) == 1
+        assert calls == [(len(valid),)]
+        # a file that cannot be parsed stays out of the batch
+        calls.clear()
+        assert cli.main(["check", *kinds["unreadable"], *valid, "--json"]) == 2
+        assert calls == [(len(valid),)]
+        # only when the batch raises is each file checked alone, for its own error
+        calls.clear()
+        assert cli.main(["check", *valid, *kinds["ricci_overflow"], "--json"]) == 2
+        assert calls == [(len(valid) + 1,)] + [()] * (len(valid) + 1)
+        capsys.readouterr()
+
+    def test_single_path_bytes(self, tmp_path, capsys):
+        # one path: no file name before the error, which main writes
+        path = write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, kappa=-1.0))
+        assert run_main(capsys, ["check", path]) == (
+            2, "", "error: kappa = -1 must be positive\n")
+
+    def test_unreadable_stdout_once(self, tmp_path, monkeypatch, capsys):
+        # the reports of a batch are one write: one error line if it fails
+        path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+        monkeypatch.setattr(sys, "stdout", FailingStdout("write"))
+        assert cli.main(["check", path, path, "--json"]) == 2
+        assert capsys.readouterr().err.count("error: cannot write stdout") == 1
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_blocks(self, tmp_path, capsys, monkeypatch, block):
+        # files are checked in blocks of CHECK_BLOCK with the same output
+        paths, _ = many_file_documents(tmp_path)
+        expected = run_main(capsys, ["check", *paths, "--json"])
+        monkeypatch.setattr(cli, "CHECK_BLOCK", block)
+        assert run_main(capsys, ["check", *paths, "--json"]) == expected
+
+
+class TestReportLayouts:
+    """A report filled into the layout of its shape is dump_json(report_doc)."""
+
+    def test_every_shape_after_every_other(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_LAYOUTS", {})
+        docs = report_documents()
+        for kappa in (0.05, 3.0):  # more of each shape
+            for family, (build, _) in cli.FAMILY_TABLE.items():
+                args = argparse.Namespace(kappa=kappa, scalar=-5.0 / kappa, sign=-1)
+                docs[f"{family}@{kappa}"] = cli.scenario_to_doc(build(args))
+        docs["milnor2"] = dict(docs["milnor"], h=0.5, phi=[0.0, 0.0, 0.0])
+        paths = [write_doc(tmp_path, doc, f"{n}.json") for n, doc in enumerate(docs.values())]
+        # each shape follows each shape, its own included
+        order = paths + paths[::-1] + paths[::2] + paths[1::2]
+        shapes = []
+        for tol in ("1e-9", "1e-3"):
+            expected = []
+            for path in order:
+                code = cli.main(["check", path, "--json", "--tol", tol])
+                sc = cli.load_scenario(path)
+                doc = cli.report_doc(sc, residuals.full_report(sc, tol=float(tol)),
+                                     constructors.classify(sc))
+                text = cli.dump_json(doc)
+                assert capsys.readouterr().out == text, (path, tol)
+                assert code == (0 if doc["verdict"] == "SOLUTION" else 1)
+                expected.append(text)
+                shapes.append((doc["residuals"]["remark_identity"] is None,
+                               doc["classification"]["simple_axis"] is None))
+            # the same reports from one batch
+            cli.main(["check", *order, "--json", "--tol", tol])
+            assert capsys.readouterr().out == "".join(expected)
+        counts = Counter(shapes)
+        assert len(counts) == 4 and min(counts.values()) >= 8, counts
+        assert set(cli._LAYOUTS) == set(counts)
+
+    def test_percent_in_a_leaf(self, monkeypatch):
+        # a % in the text of a layout is not a slot
+        monkeypatch.setattr(cli, "_LAYOUTS", {})
+        monkeypatch.setattr(cli, "__version__", "1%s%%d")
+        sc = cli.parse_scenario(SKEW_HEISENBERG_DOC)
+        report, kind = residuals.full_report(sc), constructors.classify(sc)
+        expected = cli.dump_json(cli.report_doc(sc, report, kind))
+        assert cli._json_report(sc, report, kind, ()) == expected
+        assert cli._json_report(sc, report, kind, ()) == expected
+
+
+class TestTextReport:
+    def test_computes_no_identity(self, tmp_path, capsys):
+        # the trace identity overflows (2 |phi|^2 = 2e308): an error where a
+        # report prints it, while the text verdict reads only finite norms
+        path = write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, phi=[1e154, 0.0, 0.0]))
+        code, out, err = run_main(capsys, ["check", path])
+        assert code == 1 and err == ""
+        assert out.startswith("verdict: NOT_SOLUTION  (tolerance 1e-09)\n")
+        assert "  maxwell        1e+154\n" in out
+        assert run_main(capsys, ["check", path, "--json"]) == (
+            2, "", "error: the trace identity residual is not finite: "
+                   "the scenario overflows the float range\n")
+
+
+@pytest.mark.parametrize("text", [
+    b'{"h": 1,\r"x": \r\r oops}', b'{"h": 1,\r\n"x": \r\n oops}', b'{"h": "a\rb"}',
+    b'{\r\n"h": 1\r\n}', b"\xef\xbb\xbf{}", b'{"pad": "' + b"a" * 10000 + b'\xff"}',
+], ids=["lone_cr", "crlf", "cr_in_string", "crlf_valid", "bom", "late_bad_byte"])
+def test_read_is_text_mode(tmp_path, text):
+    # the document and its diagnostics as open's text mode reads the file
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    try:
+        with open(path, encoding="utf-8") as f:
+            expected = json.load(f)
+    except ValueError as exc:
+        with pytest.raises(cli.ScenarioFileError) as got:
+            cli._read(str(path))
+        detail = f"line {exc.lineno}" if isinstance(exc, json.JSONDecodeError) else str(exc)
+        assert str(got.value).endswith(detail)
+    else:
+        assert cli._read(str(path)) == expected

@@ -80,6 +80,20 @@ class TestGenericReducible:
         assert not batch.scenario.contorsion.is_pure_skew_torsion().any()
         assert residuals.full_report(batch.scenario).remark_identity is None
 
+    @pytest.mark.parametrize("scalars, gamma", [
+        (-0.5, "0"),
+        (-2.0 * ((1.0 - 1.4e-10) / 2.0) ** 2, "1.4e-10"),
+        # the first refused sample of a batch
+        ([-2.0, -2.0 * ((1.0 + 1e-10) / 2.0) ** 2, -0.5], "-1e-10"),
+    ], ids=["gamma_0", "gamma_1.4e-10", "batch"])
+    def test_degenerate_message_names_the_skew_test(self, scalars, gamma):
+        with pytest.raises(DegeneratesToSkew) as exc:
+            constructors.construct_generic_reducible(1.0, np.array(scalars))
+        assert str(exc.value) == (
+            f"gamma = {gamma}: the torsion is purely skew within SKEW_TOL = 1e-10, "
+            "use the skew Heisenberg constructor"
+        )
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(NonNegativeScalar):
             constructors.construct_generic_reducible(1.0, 0.0, +1)

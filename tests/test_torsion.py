@@ -135,6 +135,23 @@ class TestBuildReducible:
         with pytest.raises(NonUnitAxis):
             torsion.ReducibleTorsionParams(alpha=0.0, beta=0.0, gamma=1.0, xi=[0, 0, 2])
 
+    def test_axis_per_sample(self, rng):
+        # an (N, 3) axis: each grid is bit for bit its sample's own
+        xi = rng.normal(size=(20, 3))
+        xi /= np.linalg.norm(xi, axis=1)[:, None]
+        alpha, beta, gamma = rng.normal(size=(3, 20))
+        batch = torsion.build_reducible(torsion.ReducibleTorsionParams(alpha, beta, gamma, xi))
+        for n in range(20):
+            single = torsion.build_reducible(torsion.ReducibleTorsionParams(
+                float(alpha[n]), float(beta[n]), float(gamma[n]), xi[n]))
+            np.testing.assert_array_equal(batch.a[n], single.a)
+
+    def test_non_unit_axis_in_a_batch(self):
+        # the error names the first sample whose axis is not a unit vector
+        xi = np.array([[0.0, 0.0, 1.0], [0.0, 3.0, 0.0], [2.0, 0.0, 0.0]])
+        with pytest.raises(NonUnitAxis, match=r"^\|xi\|\^2 = 9$"):
+            torsion.ReducibleTorsionParams(alpha=0.0, beta=0.0, gamma=1.0, xi=xi)
+
 
 class TestConnection:
     def test_zero_contorsion(self):
