@@ -75,6 +75,11 @@ class ScenarioFileError(Exception):
     tolerance (exit code 2)."""
 
 
+# The errors that main, and a check of many files per file, report as one
+# error line with exit code 2
+_ERRORS = (ScenarioFileError, Het3Error, MemoryError)
+
+
 def _float_token(x: float) -> str:
     """x rounded to 12 significant digits (zero unsigned), written as
     json.dumps writes a float."""
@@ -152,18 +157,15 @@ def dump_json(doc) -> str:
     return "".join(_walk(doc)[0])
 
 
-def _dump_with_layout(doc) -> tuple[str, str]:
-    """``dump_json(doc)``, and from the same walk the layout of its shape:
-    the text with each float and string token a ``%s`` slot and each other
-    ``%`` doubled, so that ``layout % tokens`` writes any document of that
-    shape from the tokens of its leaves in document order."""
-    out, slots = _walk(doc)
-    text = "".join(out)
-    if "%" in text:
-        out = [piece.replace("%", "%%") for piece in out]
+def _layout(out: list, slots: list) -> str:
+    """The layout of a document's shape from the pieces of its walk: the
+    text with each float and string token a ``%s`` slot and each other ``%``
+    doubled, so that ``layout % tokens`` writes any document of that shape
+    from the tokens of its leaves in document order."""
+    pieces = [piece.replace("%", "%%") for piece in out]
     for n in slots:
-        out[n] = "%s"
-    return text, "".join(out)
+        pieces[n] = "%s"
+    return "".join(pieces)
 
 
 def tolerance(flag: float | None) -> float:
@@ -423,6 +425,13 @@ def _write_stderr(text: str) -> None:
         _discard(sys.stderr)
 
 
+def _error(exc: BaseException, path: str | None = None) -> int:
+    """Write the error line of exc, naming path if given; EXIT_ERROR."""
+    where = "" if path is None else f"{path}: "
+    _write_stderr(f"error: {where}{str(exc) or 'out of memory'}\n")
+    return EXIT_ERROR
+
+
 def scenario_to_doc(built: constructors.ConstructedSoliton) -> dict:
     """Serialize a constructed soliton as a scenario file document."""
     sc = built.scenario
@@ -457,8 +466,8 @@ def _present(value, n: tuple):
     scenario has None, or a batch has NaN."""
     if value is None:
         return None
-    value = value[n]
-    return None if math.isnan(value.item(0)) else value
+    value = _at(value, n)
+    return None if n and math.isnan(value.item(0)) else value
 
 
 def classification_doc(verdict: constructors.ClassificationVerdict, n: tuple = ()) -> dict:
@@ -466,7 +475,7 @@ def classification_doc(verdict: constructors.ClassificationVerdict, n: tuple = (
     axis = _present(verdict.simple_axis, n)
     return {
         "kind": _at(verdict.kind, n),
-        "ricci_eigenvalues": verdict.ricci_eigenvalues[n].tolist(),
+        "ricci_eigenvalues": _at(verdict.ricci_eigenvalues, n).tolist(),
         "simple_axis": None if axis is None else axis.tolist(),
     }
 
@@ -475,57 +484,62 @@ def report_doc(sc, report, classification, n: tuple = ()) -> dict:
     """The report document of a scenario, or of sample n of a batch."""
     return {
         "verdict": _at(report.verdict, n),
-        "norms": {name: norm[n] for name, norm in report.norms.items()},
+        "norms": {name: _at(norm, n) for name, norm in report.norms.items()},
         "residuals": {
-            "einstein_sym": report.einstein_sym[n].tolist(),
-            "einstein_skew": report.einstein_skew[n].tolist(),
-            "yang_mills": report.yang_mills[n].tolist(),
-            "dilaton": report.dilaton[n],
-            "maxwell": report.maxwell[n].tolist(),
-            "trace_identity": report.trace_identity[n],
+            "einstein_sym": _at(report.einstein_sym, n).tolist(),
+            "einstein_skew": _at(report.einstein_skew, n).tolist(),
+            "yang_mills": _at(report.yang_mills, n).tolist(),
+            "dilaton": _at(report.dilaton, n),
+            "maxwell": _at(report.maxwell, n).tolist(),
+            "trace_identity": _at(report.trace_identity, n),
             "remark_identity": _present(report.remark_identity, n),
         },
         "classification": classification_doc(classification, n),
         "inputs": {
             "h": _at(sc.h, n),
             "kappa": _at(sc.kappa, n),
-            "phi": sc.phi[n].tolist(),
+            "phi": _at(sc.phi, n).tolist(),
         },
         "tolerance": report.tolerance,
         "tool_version": __version__,
     }
 
 
-# Report layouts by shape, (remark_identity null, simple_axis null): each is
-# recorded by the walk that writes the first report of its shape.
+# Report layouts by shape, (remark_identity null, simple_axis null): the
+# walk that writes the first report of a shape keeps its pieces, and the
+# second report of that shape makes them the layout, so that a process that
+# writes one report of a shape does no more than dump_json.
 _LAYOUTS: dict = {}
 
 
 def _json_report(sc, report, classification, n: tuple) -> str:
     """``dump_json(report_doc(sc, report, classification, n))``.  The first
-    report of a shape is written by the walk that records the shape's
-    layout; every later one fills that layout with the tokens of its leaves,
-    which it takes in the order of report_doc, without the null ones."""
+    report of a shape is written by the walk that records the pieces and
+    slots of the shape's layout; every later one fills that layout with the
+    tokens of its leaves, which it takes in the order of report_doc, without
+    the null ones."""
     # the identities in report_doc's order, which decides which fails first
-    trace = report.trace_identity[n]
+    trace = _at(report.trace_identity, n)
     remark = _present(report.remark_identity, n)
     axis = _present(classification.simple_axis, n)
-    layout = _LAYOUTS.get((remark is None, axis is None))
+    shape = (remark is None, axis is None)
+    layout = _LAYOUTS.get(shape)
     if layout is None:
-        text, _LAYOUTS[remark is None, axis is None] = _dump_with_layout(
-            report_doc(sc, report, classification, n))
-        return text
-    floats = [norm[n] for norm in report.norms.values()]
+        _LAYOUTS[shape] = out, slots = _walk(report_doc(sc, report, classification, n))
+        return "".join(out)
+    if type(layout) is tuple:
+        layout = _LAYOUTS[shape] = _layout(*layout)
+    floats = [_at(norm, n) for norm in report.norms.values()]
     for grid in (report.einstein_sym, report.einstein_skew, report.yang_mills):
-        floats += grid[n].ravel().tolist()
-    floats += (report.dilaton[n], *report.maxwell[n].tolist(), trace)
+        floats += _at(grid, n).ravel().tolist()
+    floats += (_at(report.dilaton, n), *_at(report.maxwell, n).tolist(), trace)
     if remark is not None:
         floats.append(remark)
     residual_leaves = len(floats)  # the leaves before the classification's kind
-    floats += classification.ricci_eigenvalues[n].tolist()
+    floats += _at(classification.ricci_eigenvalues, n).tolist()
     if axis is not None:
         floats += axis.tolist()
-    floats += (_at(sc.h, n), _at(sc.kappa, n), *sc.phi[n].tolist(), report.tolerance)
+    floats += (_at(sc.h, n), _at(sc.kappa, n), *_at(sc.phi, n).tolist(), report.tolerance)
     # a zero, most of an exact solution's residuals, without the call
     tokens = ["0.0" if x == 0 else _float_token(x) for x in floats]
     return layout % (
@@ -542,7 +556,7 @@ def _text_report(sc, report, classification, n) -> str:
     neither identity is computed."""
     return "".join(
         [f"verdict: {_at(report.verdict, n)}  (tolerance {report.tolerance:g})\n"]
-        + [f"  {name:<14s} {norm[n]:.12g}\n" for name, norm in report.norms.items()]
+        + [f"  {name:<14s} {_at(norm, n):.12g}\n" for name, norm in report.norms.items()]
         + [f"  classification: {_at(classification.kind, n)}\n"]
     )
 
@@ -743,18 +757,6 @@ def _parse_args(argv) -> argparse.Namespace:
         parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
     args.command = argv[0]
     return args
-
-
-# The errors that main, and a check of many files per file, report as one
-# error line with exit code 2
-_ERRORS = (ScenarioFileError, Het3Error, MemoryError)
-
-
-def _error(exc: BaseException, path: str | None = None) -> int:
-    """Write the error line of exc, naming path if given; EXIT_ERROR."""
-    where = "" if path is None else f"{path}: "
-    _write_stderr(f"error: {where}{str(exc) or 'out of memory'}\n")
-    return EXIT_ERROR
 
 
 def main(argv=None) -> int:

@@ -334,13 +334,15 @@ def remark_identity_residual(sc: SolitonScenario) -> np.ndarray:
 def _remark(sc: SolitonScenario, alpha: np.ndarray, ric0: np.ndarray) -> np.ndarray:
     """The recombined identity of ``remark_identity_residual``, unchecked."""
     s = sc.curvature_g.scalar
+    shift = s - 6.0 * alpha * alpha
+    # squared by pow, as a single scenario's ** 2 squares it: an array's ** 2
+    # multiplies, which differs in the last bit in about 7 of 10000 draws
+    square = np.float_power(shift, 2) if shift.ndim else shift ** 2
     return (
         2.0 * sc.kappa * (ric0 * ric0).sum(axis=(-2, -1))
         + 2.0 * sc.phi_sq
         - 2.0 * sc.h * sc.h
-        # pow, not the x * x of an array's ** 2: a sample's bits do not
-        # depend on its batch shape, and they are the single scenario's
-        + (sc.kappa / 6.0) * np.float_power(s - 6.0 * alpha * alpha, 2)
+        + (sc.kappa / 6.0) * square
         + 2.0 * sc.delta_phi
     )
 
@@ -391,11 +393,12 @@ class ResidualReport:
         when no sample has it, and NaN at the samples of a batch without it.
         Only the skew samples are checked finite."""
         skew = self.scenario.contorsion.is_pure_skew_torsion()
-        if not skew.any():
+        every = skew.all()
+        if not every and not skew.any():
             return None
         with np.errstate(**_OVERFLOW_QUIET):
             remark = _remark(self.scenario, *_alpha_ric0(self.scenario))
-        if skew.all():
+        if every:
             return _finite("remark identity residual", remark)
         _finite("remark identity residual", remark[skew])
         return np.where(skew, remark, np.nan)
@@ -427,8 +430,9 @@ def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport
     if not np.isfinite(worst).all():
         for name, norm in norms.items():
             _finite(f"{name} residual", norm)
-    # [()] turns the 0-d array of a single scenario into a string
-    verdict = np.where(worst <= tol, "SOLUTION", "NOT_SOLUTION")[()]
+    # a str for a single scenario, which then builds no string array
+    verdict = (np.where(worst <= tol, "SOLUTION", "NOT_SOLUTION") if worst.ndim
+               else "SOLUTION" if worst <= tol else "NOT_SOLUTION")
     return ResidualReport(
         scenario=sc,
         einstein_sym=ein_sym,
