@@ -34,12 +34,15 @@ classify.  Each file's output is byte for byte what its own check writes, in
 the order of the paths, and the exit code is the worst over the files (2
 over 1 over 0).  With more than one path, a file that fails writes
 ``error: PATH: message`` and the others still get their reports; with one
-path the error line is ``error: message``, written by ``main``.  A batch
-that raises is checked again file by file, only then, so that each file gets
-its own error.  Text output computes neither identity.  JSON reports are
-written from a layout per report shape (remark_identity null or not,
-simple_axis null or not): the walk that writes the first report of a shape
-records its layout, and every later report of that shape fills its slots.
+path the error line is ``error: message``, written by ``main``.  Only a
+batch that raises is split, so that each bad file gets its own error: the
+files that fail validation are checked alone and the rest again as one
+batch; a batch that passes validation and still raises (a residual past the
+float range) is split in halves.  Text output computes neither identity.
+JSON reports are written from a layout per report shape (remark_identity
+null or not, simple_axis null or not): the walk that writes the first report
+of a shape records its layout, and every later report of that shape fills
+its slots with the leaves of its report_doc, in document order.
 """
 
 from __future__ import annotations
@@ -333,23 +336,22 @@ def _scenario(files: list) -> residuals.SolitonScenario:
 
 def _contorsion(forms: tuple) -> torsion.Contorsion:
     """The contorsion of one document (batch shape ()), or of several as one
-    batch: the checked normal forms through one build_reducible, and each
-    grid given as rows as it is."""
+    batch: the checked normal forms through one torsion.reducible, without
+    checking their axes again, and each grid given as rows as it is."""
+    if len(forms) == 1:
+        form = forms[0]
+        return torsion.Contorsion(form) if type(form) is list else torsion.build_reducible(form)
+    a = np.empty((len(forms), 3, 3))
     normal = [m for m, form in enumerate(forms) if type(form) is not list]
-    if len(normal) == len(forms):
-        params = forms[0] if len(forms) == 1 else torsion.ReducibleTorsionParams(
-            alpha=np.array([p.alpha for p in forms]),
-            beta=0.0,
-            gamma=np.array([p.gamma for p in forms]),
-            xi=np.array([p.xi for p in forms]),
-        )
-        return torsion.build_reducible(params)
-    if not normal:
-        return torsion.Contorsion(np.array(forms) if len(forms) > 1 else forms[0])
-    a = np.empty((len(forms), 3, 3))  # both forms in one batch
-    a[normal] = _contorsion([forms[m] for m in normal]).a
+    if normal:
+        params = [forms[m] for m in normal]
+        a[normal] = torsion.reducible(
+            np.array([p.alpha for p in params]), 0.0,
+            np.array([p.gamma for p in params]), np.array([p.xi for p in params]),
+        ).a
     given = [m for m, form in enumerate(forms) if type(form) is list]
-    a[given] = [forms[m] for m in given]
+    if given:
+        a[given] = [forms[m] for m in given]
     return torsion.Contorsion(a)
 
 
@@ -505,6 +507,24 @@ def report_doc(sc, report, classification, n: tuple = ()) -> dict:
     }
 
 
+def _leaf_tokens(obj, tokens: list) -> None:
+    """Append the float and string tokens of the leaves of obj, a report
+    document or a part of one, in the order and form in which ``_emit``
+    writes them.  A leaf that ``_emit`` writes into the layout's text (a
+    bool, an int) gets a token here, so that filling the layout fails."""
+    for value in obj.values() if type(obj) is dict else obj:
+        kind = type(value)
+        if kind is list and value and type(value[0]) is float:  # a row: no recursion
+            tokens += ["0.0" if x == 0 else _float_token(x) for x in value]
+        elif kind is list or kind is dict:
+            _leaf_tokens(value, tokens)
+        elif isinstance(value, str):  # a batch's verdict and kind are numpy strings
+            tokens.append(_json_str(value))
+        elif value is not None:
+            # a zero, most of an exact solution's residuals, without the call
+            tokens.append("0.0" if value == 0 else _float_token(value))
+
+
 # Report layouts by shape, (remark_identity null, simple_axis null): the
 # walk that writes the first report of a shape keeps its pieces, and the
 # second report of that shape makes them the layout, so that a process that
@@ -516,39 +536,19 @@ def _json_report(sc, report, classification, n: tuple) -> str:
     """``dump_json(report_doc(sc, report, classification, n))``.  The first
     report of a shape is written by the walk that records the pieces and
     slots of the shape's layout; every later one fills that layout with the
-    tokens of its leaves, which it takes in the order of report_doc, without
-    the null ones."""
-    # the identities in report_doc's order, which decides which fails first
-    trace = _at(report.trace_identity, n)
-    remark = _present(report.remark_identity, n)
-    axis = _present(classification.simple_axis, n)
-    shape = (remark is None, axis is None)
+    tokens of its document's leaves, so that report_doc alone orders them."""
+    doc = report_doc(sc, report, classification, n)
+    shape = (doc["residuals"]["remark_identity"] is None,
+             doc["classification"]["simple_axis"] is None)
     layout = _LAYOUTS.get(shape)
     if layout is None:
-        _LAYOUTS[shape] = out, slots = _walk(report_doc(sc, report, classification, n))
+        _LAYOUTS[shape] = out, slots = _walk(doc)
         return "".join(out)
     if type(layout) is tuple:
         layout = _LAYOUTS[shape] = _layout(*layout)
-    floats = [_at(norm, n) for norm in report.norms.values()]
-    for grid in (report.einstein_sym, report.einstein_skew, report.yang_mills):
-        floats += _at(grid, n).ravel().tolist()
-    floats += (_at(report.dilaton, n), *_at(report.maxwell, n).tolist(), trace)
-    if remark is not None:
-        floats.append(remark)
-    residual_leaves = len(floats)  # the leaves before the classification's kind
-    floats += _at(classification.ricci_eigenvalues, n).tolist()
-    if axis is not None:
-        floats += axis.tolist()
-    floats += (_at(sc.h, n), _at(sc.kappa, n), *_at(sc.phi, n).tolist(), report.tolerance)
-    # a zero, most of an exact solution's residuals, without the call
-    tokens = ["0.0" if x == 0 else _float_token(x) for x in floats]
-    return layout % (
-        _json_str(_at(report.verdict, n)),
-        *tokens[:residual_leaves],
-        _json_str(_at(classification.kind, n)),
-        *tokens[residual_leaves:],
-        _json_str(__version__),
-    )
+    tokens: list = []
+    _leaf_tokens(doc, tokens)
+    return layout % tuple(tokens)
 
 
 def _text_report(sc, report, classification, n) -> str:
@@ -577,13 +577,29 @@ def _check_batch(files: list, tol: float, as_json: bool) -> list:
     ]
 
 
-def _check_alone(fields: tuple, tol: float, as_json: bool):
-    """(output text, exit code) of one parsed document checked alone, or
-    the error that main reports for it."""
+def _check_split(files: list, tol: float, as_json: bool) -> list:
+    """(output text, exit code) per parsed document, or the error that main
+    reports for it: one batch, and only if that raises, parts of it in
+    turn, down to the documents whose own check raises.  The parts are each
+    document that fails validation alone and the others as one batch, or,
+    when every document passes it (a residual past the float range), the
+    two halves."""
     try:
-        return _check_batch([fields], tol, as_json)[0]
+        return _check_batch(files, tol, as_json)
     except _ERRORS as exc:
-        return exc
+        if len(files) == 1:
+            return [exc]
+    invalid = residuals.invalid_samples(_scenario(files))
+    if invalid.any():
+        parts = [[m] for m in np.flatnonzero(invalid)] + [np.flatnonzero(~invalid)]
+    else:
+        parts = np.array_split(np.arange(len(files)), 2)
+    results = [None] * len(files)
+    for part in parts:
+        if len(part):
+            for m, result in zip(part, _check_split([files[m] for m in part], tol, as_json)):
+                results[m] = result
+    return results
 
 
 # Files per batch of a check: memory stays bounded at any number of files.
@@ -594,8 +610,8 @@ def _check_files(paths: list, tol: float, as_json: bool, named: bool) -> int:
     """Check the files at paths in one batch and write their reports to
     stdout, in order; return the worst exit code.  A file's error is an
     error line that names the file when ``named``, and is raised otherwise
-    (a single path: main writes its line).  Only when the batch raises is
-    each file checked alone, so that each gets its own error."""
+    (a single path: main writes its line).  Only when the batch raises is it
+    split (``_check_split``), so that each bad file gets its own error."""
     files, failed = [], {}  # the parsed documents; the error at each other position
     for n, path in enumerate(paths):
         try:
@@ -604,15 +620,8 @@ def _check_files(paths: list, tol: float, as_json: bool, named: bool) -> int:
             if not named:
                 raise
             failed[n] = exc
-    results = []
-    if files:
-        try:
-            results = _check_batch(files, tol, as_json)
-        except _ERRORS:
-            if not named:
-                raise
-            results = [_check_alone(f, tol, as_json) for f in files]
-    results = iter(results)
+    check = _check_split if named else _check_batch
+    results = iter(check(files, tol, as_json) if files else ())
     code, texts = EXIT_SOLUTION, []
     for n, path in enumerate(paths):
         result = failed[n] if n in failed else next(results)

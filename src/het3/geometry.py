@@ -30,6 +30,8 @@ connection coefficients (..., 3, 3, 3), endomorphism components
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,21 +113,45 @@ def jacobi_defect(sc: StructureConstants) -> np.ndarray:
         return np.abs(t + jki + kij).max(axis=(-4, -3, -2, -1))
 
 
+def model_checks(sc: StructureConstants) -> list:
+    """The checks of ``validate``, in order: per check, whether each model
+    passes it (a bool per model), and the error that it raises, which gives
+    the worst deviation over the batch.  A NaN deviation fails, and a
+    Jacobi sum that overflows fails the second check."""
+    c = sc.c
+    # each deviation reduced once per model, quietly: an overflow or a NaN
+    # fails its check
+    with np.errstate(over="ignore", invalid="ignore"):
+        anti = np.abs(c + c.swapaxes(-3, -2)).max(axis=(-3, -2, -1))
+        defect = jacobi_defect(sc)
+    return [
+        (anti <= STRUCT_TOL,
+         lambda: AntisymmetryViolation(f"c_ijk + c_jik deviates by {np.max(anti):g}")),
+        (np.isfinite(defect), lambda: JacobiViolation(
+            "structure constants overflow the float range in the Jacobi sums")),
+        (defect <= STRUCT_TOL,
+         lambda: JacobiViolation(f"Jacobi identity violated by {np.max(defect):g}")),
+    ]
+
+
+def every(masks) -> np.ndarray:
+    """The samples that are True in every one of masks, which broadcast."""
+    return functools.reduce(operator.and_, masks)
+
+
+def failing(checks: list) -> np.ndarray:
+    """The samples that fail any of checks, (passed, error) pairs: one
+    reduction, without a truth test per check (slow on numpy bools)."""
+    return ~every(passed for passed, _ in checks)
+
+
 def validate(sc: StructureConstants) -> None:
     """Raise unless every model's c is antisymmetric in (i, j) and satisfies
-    Jacobi up to STRUCT_TOL; the message gives the worst deviation.  A NaN
-    deviation fails too, and a Jacobi sum that overflows is named as such."""
-    c = sc.c
-    # each deviation reduced once, quietly: an overflow or a NaN fails its check
-    with np.errstate(over="ignore", invalid="ignore"):
-        anti = np.abs(c + c.swapaxes(-3, -2)).max()
-        defect = jacobi_defect(sc).max()
-    if not anti <= STRUCT_TOL:
-        raise AntisymmetryViolation(f"c_ijk + c_jik deviates by {anti:g}")
-    if not np.isfinite(defect):
-        raise JacobiViolation("structure constants overflow the float range in the Jacobi sums")
-    if not defect <= STRUCT_TOL:
-        raise JacobiViolation(f"Jacobi identity violated by {defect:g}")
+    Jacobi up to STRUCT_TOL: the error of the first of ``model_checks`` that
+    a model fails."""
+    checks = model_checks(sc)
+    if failing(checks).any():
+        raise next(error for passed, error in checks if not passed.all())()
 
 
 def levi_civita(sc: StructureConstants) -> np.ndarray:

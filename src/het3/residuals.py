@@ -190,39 +190,57 @@ class SolitonScenario:
         )
 
 
-def validate_scenario(sc: SolitonScenario) -> None:
-    """Structural checks: finite inputs, model validity, kappa > 0, h > 0,
-    beta = 0 up to torsion.SKEW_TOL and phi closed up to VALIDATE_TOL.  A
-    batch passes only if every sample does; the first check in this order
-    that fails raises."""
-    inputs = {
-        "structure constants": sc.model.c,
-        "contorsion": sc.contorsion.a,
-        "h": sc.h,
-        "kappa": sc.kappa,
-        "phi": sc.phi,
+def structural_checks(sc: SolitonScenario) -> list:
+    """The checks of ``validate_scenario``, in order: finite inputs, model
+    validity (``geometry.model_checks``), kappa > 0, h > 0, beta = 0 up to
+    torsion.SKEW_TOL and phi closed up to VALIDATE_TOL.  Per check: whether
+    each sample passes it (a bool per sample), and the error that it raises
+    for the batch."""
+    # each input finite, per sample
+    finite = {
+        "structure constants": np.isfinite(sc.model.c).all(axis=(-3, -2, -1)),
+        "contorsion": np.isfinite(sc.contorsion.a).all(axis=(-2, -1)),
+        "h": np.isfinite(sc.h),
+        "kappa": np.isfinite(sc.kappa),
+        "phi": np.isfinite(sc.phi).all(axis=-1),
     }
-    # one reduction over every input; the inputs one by one only to name
-    # the first that is not finite
-    if not np.isfinite(np.concatenate([np.ravel(value) for value in inputs.values()])).all():
-        name = next(name for name, value in inputs.items() if not np.isfinite(value).all())
-        raise ScenarioValidationError(f"{name} must be finite (no NaN or inf)")
-    geometry.validate(sc.model)
-    if not np.greater(sc.kappa, 0).all():
-        raise NonPositiveKappa(f"kappa = {np.min(sc.kappa):g} must be positive")
-    if not np.greater(sc.h, 0).all():
-        raise ScenarioValidationError(f"h = {np.min(sc.h):g} must be positive")
-    # the bound of Contorsion.is_pure_skew_torsion, which then ignores zeta
-    zeta = sc.contorsion.skew_vector
-    if np.abs(zeta).max() > torsion.SKEW_TOL:
-        raise ScenarioValidationError(
+    # the bound of Contorsion.is_pure_skew_torsion, which then ignores zeta;
+    # quietly, as every check reads inputs that may not be finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta = np.abs(sc.contorsion.skew_vector).max(axis=-1)
+        # closedness of a frame-constant 1-form: phi([e_i, e_j]) = 0
+        dphi = np.abs(np.einsum("...ijk,...k->...ij", sc.model.c, sc.phi)).max(axis=(-2, -1))
+    return [
+        (geometry.every(finite.values()), lambda: ScenarioValidationError(
+            f"{next(name for name, ok in finite.items() if not ok.all())} "
+            "must be finite (no NaN or inf)")),
+        *geometry.model_checks(sc.model),
+        (np.greater(sc.kappa, 0),
+         lambda: NonPositiveKappa(f"kappa = {np.min(sc.kappa):g} must be positive")),
+        (np.greater(sc.h, 0),
+         lambda: ScenarioValidationError(f"h = {np.min(sc.h):g} must be positive")),
+        # these two fail only a value past their bound: a NaN, which
+        # opposite overflows in the sums of d phi can give, passes
+        (~(zeta > torsion.SKEW_TOL), lambda: ScenarioValidationError(
             "contorsion has a skew component (beta != 0 along the axis), "
-            "excluded on compact models since delta xi = 2 beta"
-        )
-    # closedness of a frame-constant 1-form: phi([e_i, e_j]) = 0
-    dphi = np.einsum("...ijk,...k->...ij", sc.model.c, sc.phi)
-    if np.abs(dphi).max() > VALIDATE_TOL:
-        raise ScenarioValidationError("phi is not closed: phi([e_i,e_j]) != 0")
+            "excluded on compact models since delta xi = 2 beta")),
+        (~(dphi > VALIDATE_TOL),
+         lambda: ScenarioValidationError("phi is not closed: phi([e_i,e_j]) != 0")),
+    ]
+
+
+def validate_scenario(sc: SolitonScenario) -> None:
+    """Raise the error of the first of ``structural_checks`` that a sample
+    fails: a batch passes only if every sample does."""
+    checks = structural_checks(sc)
+    if geometry.failing(checks).any():
+        raise next(error for passed, error in checks if not passed.all())()
+
+
+def invalid_samples(sc: SolitonScenario) -> np.ndarray:
+    """Per sample, whether ``validate_scenario`` rejects it: the samples
+    that a batch must leave out to pass."""
+    return geometry.failing(structural_checks(sc))
 
 
 def grad_phi(sc: SolitonScenario) -> np.ndarray:

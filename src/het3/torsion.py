@@ -110,14 +110,19 @@ class ReducibleTorsionParams:
 
 def build_reducible(params: ReducibleTorsionParams) -> Contorsion:
     """A = alpha g + beta *xi + gamma xi (x) xi."""
-    xi = params.xi
+    return reducible(params.alpha, params.beta, params.gamma, params.xi)
+
+
+def reducible(alpha, beta, gamma, xi: np.ndarray) -> Contorsion:
+    """``build_reducible`` of parameters whose axes (..., 3) are already
+    checked to be unit vectors, as ReducibleTorsionParams checks them."""
     # quietly: an infinite coefficient times a zero entry, or a sum past the
     # float range, leaves a NaN or inf that validate_scenario rejects by name
     with np.errstate(over="ignore", invalid="ignore"):
         a = (
-            _per_grid(params.alpha) * IDENTITY
-            + _per_grid(params.beta) * star_matrix(xi)
-            + _per_grid(params.gamma) * (xi[..., :, None] * xi[..., None, :])
+            _per_grid(alpha) * IDENTITY
+            + _per_grid(beta) * star_matrix(xi)
+            + _per_grid(gamma) * (xi[..., :, None] * xi[..., None, :])
         )
     return Contorsion(a)
 

@@ -1153,11 +1153,58 @@ class TestManyFiles:
         calls.clear()
         assert cli.main(["check", *kinds["unreadable"], *valid, "--json"]) == 2
         assert calls == [(len(valid),)]
-        # only when the batch raises is each file checked alone, for its own error
-        calls.clear()
-        assert cli.main(["check", *valid, *kinds["ricci_overflow"], "--json"]) == 2
-        assert calls == [(len(valid) + 1,)] + [()] * (len(valid) + 1)
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bad", ["invalid", "ricci_overflow"])
+    def test_split_around_a_bad_file(self, tmp_path, capsys, monkeypatch, bad):
+        # only a batch that raises is split: a file that fails validation is
+        # checked alone and the others as one batch; a file whose residual
+        # overflows, which passes validation, in halves until it is alone
+        calls = []  # (files, whether the batch passed) per full_report call
+        full_report = residuals.full_report
+
+        def counted(sc, tol):
+            try:
+                report = full_report(sc, tol=tol)
+            except errors.Het3Error:
+                calls.append((np.size(sc.h), False))
+                raise
+            calls.append((np.size(sc.h), True))
+            return report
+
+        monkeypatch.setattr(residuals, "full_report", counted)
+        _, kinds = many_file_documents(tmp_path)
+        kinds["invalid"] = [write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, kappa=-1.0), "bad.json")]
+        valid = kinds["valid"] * 8
+        paths = valid[:37] + kinds[bad] + valid[37:]
+        code, out, err = run_main(capsys, ["check", *paths, "--json"])
+        got = list(calls)
+        assert code == 2 and err.count("error: ") == 1
+        assert out == run_main(capsys, ["check", *valid, "--json"])[1]
+        if bad == "invalid":
+            assert got == [(len(paths), False), (1, False), (len(valid), True)]
+            return
+        # N files: at most one failed and one passed batch per halving
+        levels = math.ceil(math.log2(len(paths))) + 1
+        failed = [size for size, passed in got if not passed]
+        passed = [size for size, passed in got if passed]
+        assert failed[0] == len(paths) and failed[-1] == 1 and len(failed) <= levels
+        assert sum(passed) == len(valid) and len(passed) <= levels
+
+    def test_scenario_rows_are_each_documents_own(self):
+        # normal forms and given grids in one batch, and each alone
+        docs = list(report_documents().values())
+        fields = [cli._fields(doc) for doc in docs]
+        normal = [f for f in fields if type(f[1]) is not list]
+        grids = [f for f in fields if type(f[1]) is list] * 2
+        for batch in (fields, fields[::-1], normal, grids):
+            sc = cli._scenario(batch)
+            for m, one in enumerate(batch):
+                alone = cli._scenario([one])
+                np.testing.assert_array_equal(sc.model.c[m], alone.model.c)
+                np.testing.assert_array_equal(sc.contorsion.a[m], alone.contorsion.a)
+                np.testing.assert_array_equal(sc.phi[m], alone.phi)
+                assert (sc.h[m], sc.kappa[m]) == (alone.h, alone.kappa)
 
     def test_single_path_bytes(self, tmp_path, capsys):
         # one path: no file name before the error, which main writes

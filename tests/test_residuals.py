@@ -1,6 +1,7 @@
 """Soliton system residuals: each equation, derived identities, full report."""
 
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -10,6 +11,7 @@ import pytest
 from conftest import random_model
 from het3 import cli, constructors, frame, geometry, residuals, torsion
 from het3.errors import (
+    Het3Error,
     NonFiniteResidual,
     NonPositiveKappa,
     NotSkewTorsion,
@@ -68,6 +70,40 @@ class TestValidation:
                 residuals.full_report(sc)
         with pytest.raises(NonPositiveKappa):
             sc.validate()
+
+    def test_invalid_samples_are_the_ones_rejected_alone(self):
+        # one sample per check, in the order of the checks: the mask marks
+        # the samples that validation rejects alone, and a batch raises the
+        # error of the first check that any of its samples fails
+        good = skew_heisenberg_scenario()
+        model, ct = good.model, good.contorsion
+        rejected = {
+            "not_finite": residuals.SolitonScenario(model, ct, math.inf, 1.0),
+            "antisymmetry": residuals.SolitonScenario(
+                geometry.StructureConstants(np.ones((3, 3, 3))), ct, 1.0, 1.0),
+            "jacobi": residuals.SolitonScenario(geometry.StructureConstants.from_entries(
+                [(0, 1, 0, 1.0), (0, 2, 1, 1.0)]), ct, 1.0, 1.0),
+            "kappa": residuals.SolitonScenario(model, ct, 1.0, -1.0),
+            "h": residuals.SolitonScenario(model, ct, 0.0, 1.0),
+            "beta": residuals.SolitonScenario(model, torsion.build_reducible(
+                torsion.ReducibleTorsionParams(alpha=0.5, beta=0.1, gamma=0.0, xi=AXIS)), 1.0, 1.0),
+            "phi": residuals.SolitonScenario(model, ct, 1.0, 1.0, phi=[0.0, 0.0, 1.0]),
+        }
+        errors = {}
+        for name, sc in rejected.items():
+            with pytest.raises(Het3Error) as got:
+                residuals.validate_scenario(sc)
+            errors[name] = got.value
+            assert residuals.invalid_samples(sc)
+        assert not residuals.invalid_samples(good)
+        samples = dict(rejected, valid=good)
+        names = list(rejected)
+        for order in (names + ["valid"], ["valid"] + names[::-1], ["valid", "phi", "valid", "h"]):
+            batch = residuals.SolitonScenario.stack([samples[name] for name in order])
+            assert residuals.invalid_samples(batch).tolist() == [name != "valid" for name in order]
+            first = min((name for name in order if name != "valid"), key=names.index)
+            with pytest.raises(type(errors[first]), match=f"^{re.escape(str(errors[first]))}$"):
+                residuals.validate_scenario(batch)
 
     def test_rejects_beta(self):
         sc = residuals.SolitonScenario(
