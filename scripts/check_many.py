@@ -3,15 +3,27 @@
     python3 scripts/check_many.py [--files 1000] [--repeats 5] [--seed 0]
 
 Run it from the root of a het3 checkout; it imports het3 from ``src/``.  It
-writes --files exact scenario files (the four families, kappa log-uniform in
-[1e-2, 1e2]) to a temporary directory, then times, in this one process:
+writes two corpora of --files scenario files each (the four families in turn,
+kappa log-uniform in [1e-2, 1e2]) to a temporary directory:
+
+* ``exact``: every file an exact member.  Every file is valid, so each block
+  of ``cli.CHECK_BLOCK`` files is one batch, and most residuals are exact
+  zeros, which take the short way through the report's rounding.
+* ``screening``: what a screen of candidates reads.  Every file is a member
+  with h scaled by 1 + d, d log-uniform in [1e-6, 1e-2] (a non-solution with
+  nonzero residuals), and one file per block of ``cli.CHECK_BLOCK``, at a
+  seeded position, has kappa = -1 (an error), so that every batch raises and
+  is split around it.
+
+For each corpus it times, in this one process:
 
 * ``batch``: one ``het3.cli.main(["check", *paths, "--json"])`` call;
 * ``one_by_one``: one ``het3.cli.main(["check", path, "--json"])`` per file.
 
-Output goes to an in-memory buffer.  Each is run once untimed, then
---repeats times; the result is the median, in microseconds per scenario, as
-one JSON line.  The batch output must equal the concatenated single outputs.
+Output goes to in-memory buffers.  Each is run once untimed, then --repeats
+times; the result is the median, in microseconds per scenario, as one JSON
+line.  The batch stdout must equal the concatenated single outputs, and its
+error lines the single error lines with the file named.
 """
 
 from __future__ import annotations
@@ -41,32 +53,72 @@ FAMILIES = {
 }
 
 
-def write_files(directory: str, count: int, seed: int) -> list[str]:
-    rng = np.random.default_rng(seed)
-    paths = []
+def documents(count: int, rng: np.random.Generator) -> list[dict]:
+    """count exact members of the four families, in turn."""
+    docs = []
     for n in range(count):
         family = list(FAMILIES)[n % len(FAMILIES)]
         kappa = float(10.0 ** rng.uniform(-2, 2))
         scalar = FAMILIES[family]
         args = argparse.Namespace(
             kappa=kappa, scalar=None if scalar is None else scalar / kappa, sign=1)
-        built = cli.FAMILY_TABLE[family][0](args)
-        path = os.path.join(directory, f"scenario-{n:05d}.json")
+        docs.append(cli.scenario_to_doc(cli.FAMILY_TABLE[family][0](args)))
+    return docs
+
+
+def screening(docs: list[dict], rng: np.random.Generator) -> list[dict]:
+    """docs with h perturbed, and one per block with kappa = -1."""
+    docs = [dict(doc, h=doc["h"] * (1.0 + 10.0 ** rng.uniform(-6, -2))) for doc in docs]
+    for start in range(0, len(docs), cli.CHECK_BLOCK):
+        bad = int(rng.integers(start, min(start + cli.CHECK_BLOCK, len(docs))))
+        docs[bad] = dict(docs[bad], kappa=-1.0)
+    return docs
+
+
+def write_files(directory: str, name: str, docs: list[dict]) -> list[str]:
+    paths = []
+    for n, doc in enumerate(docs):
+        path = os.path.join(directory, f"{name}-{n:05d}.json")
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(cli.scenario_to_doc(built), f)
+            json.dump(doc, f)
         paths.append(path)
     return paths
 
 
-def timed(calls) -> tuple[float, str, int]:
-    """Seconds for the argv lists in calls, their joined stdout and worst exit code."""
-    out = io.StringIO()
+def timed(calls) -> tuple[float, str, str, int]:
+    """Seconds for the argv lists in calls, their joined stdout and stderr,
+    and the worst exit code."""
+    out, err = io.StringIO(), io.StringIO()
     code = 0
     start = time.perf_counter()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         for argv in calls:
             code = max(code, cli.main(argv))
-    return time.perf_counter() - start, out.getvalue(), code
+    return time.perf_counter() - start, out.getvalue(), err.getvalue(), code
+
+
+def measure(paths: list[str], repeats: int) -> dict:
+    """Median microseconds per scenario of each mode, and the exit codes;
+    raises if the batch writes other bytes than the single checks."""
+    modes = {
+        "batch": [["check", *paths, "--json"]],
+        "one_by_one": [["check", path, "--json"] for path in paths],
+    }
+    result, written = {}, {}
+    for mode, calls in modes.items():
+        _, out, err, code = timed(calls)
+        written[mode] = out, err
+        seconds = [timed(calls)[0] for _ in range(repeats)]
+        result[f"{mode}_us_per_scenario"] = statistics.median(seconds) / len(paths) * 1e6
+        result[f"{mode}_exit"] = code
+    single_errors = [(path, line) for path, line in zip(
+        paths, (run[2] for run in (timed([argv]) for argv in modes["one_by_one"])))
+        if line]
+    named = "".join(f"error: {path}: {line[len('error: '):]}" for path, line in single_errors)
+    if written["batch"] != (written["one_by_one"][0], named):
+        raise SystemExit("batch output differs from the single outputs")
+    result["errors"] = len(single_errors)
+    return result
 
 
 def main() -> int:
@@ -75,22 +127,13 @@ def main() -> int:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
+    rng = np.random.default_rng(args.seed)
+    exact = documents(args.files, rng)
+    corpora = {"exact": exact, "screening": screening(exact, rng)}
+    result = {"files": args.files, "repeats": args.repeats, "seed": args.seed}
     with tempfile.TemporaryDirectory() as directory:
-        paths = write_files(directory, args.files, args.seed)
-        modes = {
-            "batch": [["check", *paths, "--json"]],
-            "one_by_one": [["check", path, "--json"] for path in paths],
-        }
-        result = {"files": args.files, "repeats": args.repeats}
-        outputs = {}
-        for mode, calls in modes.items():
-            _, outputs[mode], code = timed(calls)
-            seconds = [timed(calls)[0] for _ in range(args.repeats)]
-            result[f"{mode}_us_per_scenario"] = statistics.median(seconds) / args.files * 1e6
-            result[f"{mode}_exit"] = code
-    if outputs["batch"] != outputs["one_by_one"]:
-        print("batch output differs from the single outputs", file=sys.stderr)
-        return 1
+        for name, docs in corpora.items():
+            result[name] = measure(write_files(directory, name, docs), args.repeats)
     print(json.dumps(result))
     return 0
 
