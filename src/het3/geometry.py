@@ -117,7 +117,7 @@ def model_checks(sc: StructureConstants) -> list:
     """The checks of ``validate``, in order: per check, whether each model
     passes it (a bool per model), and the error that it raises, which gives
     the worst deviation over the batch.  A NaN deviation fails, and a
-    Jacobi sum that overflows fails the second check."""
+    Jacobi sum that overflows is named as such."""
     c = sc.c
     # each deviation reduced once per model, quietly: an overflow or a NaN
     # fails its check
@@ -127,10 +127,10 @@ def model_checks(sc: StructureConstants) -> list:
     return [
         (anti <= STRUCT_TOL,
          lambda: AntisymmetryViolation(f"c_ijk + c_jik deviates by {np.max(anti):g}")),
-        (np.isfinite(defect), lambda: JacobiViolation(
-            "structure constants overflow the float range in the Jacobi sums")),
-        (defect <= STRUCT_TOL,
-         lambda: JacobiViolation(f"Jacobi identity violated by {np.max(defect):g}")),
+        (defect <= STRUCT_TOL, lambda: JacobiViolation(
+            "structure constants overflow the float range in the Jacobi sums"
+            if not np.isfinite(defect).all() else
+            f"Jacobi identity violated by {np.max(defect):g}")),
     ]
 
 

@@ -196,14 +196,17 @@ def structural_checks(sc: SolitonScenario) -> list:
     torsion.SKEW_TOL and phi closed up to VALIDATE_TOL.  Per check: whether
     each sample passes it (a bool per sample), and the error that it raises
     for the batch."""
-    # each input finite, per sample
-    finite = {
-        "structure constants": np.isfinite(sc.model.c).all(axis=(-3, -2, -1)),
-        "contorsion": np.isfinite(sc.contorsion.a).all(axis=(-2, -1)),
-        "h": np.isfinite(sc.h),
-        "kappa": np.isfinite(sc.kappa),
-        "phi": np.isfinite(sc.phi).all(axis=-1),
+    inputs = {
+        "structure constants": sc.model.c,
+        "contorsion": sc.contorsion.a,
+        "h": sc.h,
+        "kappa": sc.kappa,
+        "phi": sc.phi,
     }
+    # one reduction over every input, and per sample only when it fails
+    finite = np.isfinite(np.concatenate([np.ravel(value) for value in inputs.values()])).all() or (
+        geometry.every(np.isfinite(value).all(axis=tuple(range(-core, 0)))
+                       for value, core in zip(inputs.values(), (3, 2, 0, 0, 1))))
     # the bound of Contorsion.is_pure_skew_torsion, which then ignores zeta;
     # quietly, as every check reads inputs that may not be finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -211,8 +214,8 @@ def structural_checks(sc: SolitonScenario) -> list:
         # closedness of a frame-constant 1-form: phi([e_i, e_j]) = 0
         dphi = np.abs(np.einsum("...ijk,...k->...ij", sc.model.c, sc.phi)).max(axis=(-2, -1))
     return [
-        (geometry.every(finite.values()), lambda: ScenarioValidationError(
-            f"{next(name for name, ok in finite.items() if not ok.all())} "
+        (finite, lambda: ScenarioValidationError(
+            f"{next(name for name, value in inputs.items() if not np.isfinite(value).all())} "
             "must be finite (no NaN or inf)")),
         *geometry.model_checks(sc.model),
         (np.greater(sc.kappa, 0),
