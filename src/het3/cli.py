@@ -16,12 +16,12 @@ The contorsion may alternatively be {"matrix": [[...], [...], [...]]}
 number, not a string or a boolean; a key that docs/scenario.schema.json does
 not name is rejected.  Exit codes: 0 = SOLUTION, 1 = NOT_SOLUTION, 2 = input
 or parameter error.  The commands raise, and ``main`` reports an error (a
-check of many files also reports each failed file; ``_error`` writes both):
-one message on stderr and exit code 2, also for JSON nested too deeply, for
-an allocation past memory (a sweep of 10^13 points), for a rejected value
-of any size (echoed shortened by ``reprlib.repr``) and for a failed write to
-stdout.  ``write_output`` is the one writer of output, ``_write_stderr``
-of diagnostics; a stdout closed at start is a failed write, and a line that
+check also reports each failed file; ``_error`` writes both): one message on
+stderr and exit code 2, also for JSON nested too deeply, for an allocation
+past memory (a sweep of 10^13 points), for a rejected value of any size
+(echoed shortened by ``reprlib.repr``) and for a failed write to stdout.
+``write_output`` is the one writer of output, ``_write_stderr`` of
+diagnostics; a stdout closed at start is a failed write, and a line that
 stderr cannot take is dropped, with the exit code unchanged.  The residual
 tolerance DEFAULT_TOL can be overridden with --tol or the HET3_TOL
 environment variable; it must be positive and finite.
@@ -32,17 +32,18 @@ ones become one scenario (batch shape (N,), or () for one file, the N = 1
 case), and that scenario goes through one validate, one full_report and one
 classify.  Each file's output is byte for byte what its own check writes, in
 the order of the paths, and the exit code is the worst over the files (2
-over 1 over 0).  With more than one path, a file that fails writes
-``error: PATH: message`` and the others still get their reports; with one
-path the error line is ``error: message``, written by ``main``.  Only a
-batch that raises is split, so that each bad file gets its own error: the
+over 1 over 0).  One path or many take the same path: a file that fails
+writes its error line, ``error: PATH: message`` with more than one path and
+``error: message`` with one, and the others still get their reports.  Only
+a batch that raises is split, so that each bad file gets its own error: the
 files that fail validation are checked alone and the rest again as one
 batch; a batch that passes validation and still raises (a residual past the
 float range) is split in halves.  Text output computes neither identity.
-JSON reports are written from a layout per report shape (remark_identity
-null or not, simple_axis null or not): the walk that writes the first report
-of a shape records its layout, and every later report of that shape fills
-its slots with the leaves of its report_doc, in document order.
+Every JSON document is written by json.dumps with indent=2 as a layout,
+its float and string leaves replaced by ``%s`` slots, filled by one walk
+over those leaves; a report reuses the layout of its shape (remark_identity
+null or not, simple_axis null or not), made from the first report of that
+shape.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class ScenarioFileError(Exception):
     tolerance (exit code 2)."""
 
 
-# The errors that main, and a check of many files per file, report as one
-# error line with exit code 2
+# The errors that main, and a check per file, report as one error line with
+# exit code 2
 _ERRORS = (ScenarioFileError, Het3Error, MemoryError)
 
 
@@ -100,75 +101,56 @@ def _float_token(x: float) -> str:
     return float.__repr__(float(text))
 
 
-def _emit(obj, indent: str, out: list, slots: list) -> None:
-    """Append ``obj`` as json.dumps(..., indent=2) writes it at depth
-    ``indent``, with every float rounded as ``_float_token`` rounds it, and
-    record in ``slots`` the index in ``out`` of each float and string token;
-    a leaf that no report holds (bool, int, empty container) goes to
-    json.dumps."""
-    if isinstance(obj, float):
-        slots.append(len(out))
-        out.append(_float_token(obj))
-    elif isinstance(obj, str):
-        slots.append(len(out))
-        out.append(_json_str(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
-        inner = indent + "  "
-        head = "[\n" + inner
-        for item in obj:
-            out.append(head)
-            if isinstance(item, float):  # a grid row: no recursion per entry
-                slots.append(len(out))
-                out.append(_float_token(item))
-            else:
-                _emit(item, inner, out, slots)
-            head = ",\n" + inner
-        out.append("\n" + indent + "]")
-    elif isinstance(obj, dict) and obj:
-        inner = indent + "  "
-        head = "{\n" + inner
-        for key, value in obj.items():
-            out.append(head + _json_str(key) + ": ")
-            if isinstance(value, float):  # a scalar field: no recursion
-                slots.append(len(out))
-                out.append(_float_token(value))
-            else:
-                _emit(value, inner, out, slots)
-            head = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif obj is None:
-        out.append("null")
-    else:
-        out.append(json.dumps(obj))
+def _skeleton(obj):
+    """obj with each float and string leaf replaced by the sentinel "\\0"."""
+    if isinstance(obj, (float, str)):
+        return "\0"
+    if isinstance(obj, dict):
+        return {key: _skeleton(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_skeleton(value) for value in obj]
+    return obj
 
 
-def _walk(doc) -> tuple[list, list]:
-    """The pieces of ``dump_json(doc)``, and the indices of its float and
-    string tokens among them."""
-    out: list = []
-    slots: list = []
-    _emit(doc, "", out, slots)
-    out.append("\n")
-    return out, slots
+def _layout(doc) -> str:
+    """The layout of doc's shape: the text that json.dumps with indent=2
+    writes for doc, with each float and string token a ``%s`` slot and each
+    other ``%`` doubled, so that ``_fill`` writes any document of that shape
+    into it.  json writes the sentinel of ``_skeleton`` as ``"\\u0000"``,
+    which no key may contain."""
+    text = json.dumps(_skeleton(doc), indent=2).replace("%", "%%")
+    return text.replace('"\\u0000"', "%s") + "\n"
+
+
+def _leaf_tokens(items, tokens: list) -> list:
+    """Append to tokens the token of each float and string leaf in items,
+    in document order, as json.dumps writes it (each float rounded by
+    ``_float_token``); return tokens."""
+    for value in items:
+        if isinstance(value, float):
+            # a zero, most of an exact solution's residuals, without the call
+            tokens.append("0.0" if value == 0 else _float_token(value))
+        elif isinstance(value, str):  # a batch's verdict and kind are numpy strings
+            tokens.append(_json_str(value))
+        elif isinstance(value, dict):
+            _leaf_tokens(value.values(), tokens)
+        elif isinstance(value, (list, tuple)):
+            _leaf_tokens(value, tokens)
+    return tokens
+
+
+def _fill(layout: str, doc) -> str:
+    """doc written into the layout of its shape (``_layout``)."""
+    return layout % tuple(_leaf_tokens((doc,), []))
 
 
 def dump_json(doc) -> str:
-    """A report document with every float rounded by ``_float_token``, written in
-    one walk: the bytes that ``json.dumps`` with ``indent=2`` writes for the
-    document with its floats rounded, without its pure-Python indenting
-    encoder (CPython's C encoder does not indent)."""
-    return "".join(_walk(doc)[0])
-
-
-def _layout(out: list, slots: list) -> str:
-    """The layout of a document's shape from the pieces of its walk: the
-    text with each float and string token a ``%s`` slot and each other ``%``
-    doubled, so that ``layout % tokens`` writes any document of that shape
-    from the tokens of its leaves in document order."""
-    pieces = [piece.replace("%", "%%") for piece in out]
-    for n in slots:
-        pieces[n] = "%s"
-    return "".join(pieces)
+    """doc as json.dumps with indent=2 writes it, each float rounded by
+    ``_float_token``: json writes the keys, the nesting and every other
+    leaf (``_layout``), and the tokens of its float and string leaves fill
+    the slots.  No key may contain NUL; the keys of a report and a
+    classification are fixed identifiers."""
+    return _fill(_layout(doc), doc)
 
 
 def tolerance(flag: float | None) -> float:
@@ -507,48 +489,21 @@ def report_doc(sc, report, classification, n: tuple = ()) -> dict:
     }
 
 
-def _leaf_tokens(obj, tokens: list) -> None:
-    """Append the float and string tokens of the leaves of obj, a report
-    document or a part of one, in the order and form in which ``_emit``
-    writes them.  A leaf that ``_emit`` writes into the layout's text (a
-    bool, an int) gets a token here, so that filling the layout fails."""
-    for value in obj.values() if type(obj) is dict else obj:
-        kind = type(value)
-        if kind is list and value and type(value[0]) is float:  # a row: no recursion
-            tokens += ["0.0" if x == 0 else _float_token(x) for x in value]
-        elif kind is list or kind is dict:
-            _leaf_tokens(value, tokens)
-        elif isinstance(value, str):  # a batch's verdict and kind are numpy strings
-            tokens.append(_json_str(value))
-        elif value is not None:
-            # a zero, most of an exact solution's residuals, without the call
-            tokens.append("0.0" if value == 0 else _float_token(value))
-
-
-# Report layouts by shape, (remark_identity null, simple_axis null): the
-# walk that writes the first report of a shape keeps its pieces, and the
-# second report of that shape makes them the layout, so that a process that
-# writes one report of a shape does no more than dump_json.
+# Report layouts by shape, (remark_identity null, simple_axis null), each
+# made from the first report of its shape
 _LAYOUTS: dict = {}
 
 
 def _json_report(sc, report, classification, n: tuple) -> str:
-    """``dump_json(report_doc(sc, report, classification, n))``.  The first
-    report of a shape is written by the walk that records the pieces and
-    slots of the shape's layout; every later one fills that layout with the
-    tokens of its document's leaves, so that report_doc alone orders them."""
+    """``dump_json(report_doc(sc, report, classification, n))``, with the
+    layout of the report's shape made once per process."""
     doc = report_doc(sc, report, classification, n)
     shape = (doc["residuals"]["remark_identity"] is None,
              doc["classification"]["simple_axis"] is None)
     layout = _LAYOUTS.get(shape)
     if layout is None:
-        _LAYOUTS[shape] = out, slots = _walk(doc)
-        return "".join(out)
-    if type(layout) is tuple:
-        layout = _LAYOUTS[shape] = _layout(*layout)
-    tokens: list = []
-    _leaf_tokens(doc, tokens)
-    return layout % tuple(tokens)
+        layout = _LAYOUTS[shape] = _layout(doc)
+    return _fill(layout, doc)
 
 
 def _text_report(sc, report, classification, n) -> str:
@@ -561,10 +516,9 @@ def _text_report(sc, report, classification, n) -> str:
     )
 
 
-def _check_batch(files: list, tol: float, as_json: bool) -> list:
-    """(output text, exit code) per parsed document, from one scenario
-    (``_scenario``) through one validate, one full_report and one classify."""
-    sc = _scenario(files)
+def _check_batch(sc, tol: float, as_json: bool) -> list:
+    """(output text, exit code) per sample of a scenario (``_scenario``),
+    from one validate, one full_report and one classify."""
     report = residuals.full_report(sc, tol=tol)
     classification = constructors.classify(sc)
     render = _json_report if as_json else _text_report
@@ -578,18 +532,20 @@ def _check_batch(files: list, tol: float, as_json: bool) -> list:
 
 
 def _check_split(files: list, tol: float, as_json: bool) -> list:
-    """(output text, exit code) per parsed document, or the error that main
-    reports for it: one batch, and only if that raises, parts of it in
-    turn, down to the documents whose own check raises.  The parts are each
-    document that fails validation alone and the others as one batch, or,
-    when every document passes it (a residual past the float range), the
-    two halves."""
+    """(output text, exit code) per parsed document, or the error to report
+    for it: one batch, and only if that raises, parts of it in turn, down
+    to the documents whose own check raises.  The parts are each document
+    that fails validation alone and the others as one batch, or, when every
+    document passes it (a residual past the float range) or the batch could
+    not be built, the two halves."""
+    sc = None
     try:
-        return _check_batch(files, tol, as_json)
+        sc = _scenario(files)
+        return _check_batch(sc, tol, as_json)
     except _ERRORS as exc:
         if len(files) == 1:
             return [exc]
-    invalid = residuals.invalid_samples(_scenario(files))
+    invalid = np.zeros(len(files), bool) if sc is None else residuals.invalid_samples(sc)
     if invalid.any():
         parts = [[m] for m in np.flatnonzero(invalid)] + [np.flatnonzero(~invalid)]
     else:
@@ -608,20 +564,17 @@ CHECK_BLOCK = 1024
 
 def _check_files(paths: list, tol: float, as_json: bool, named: bool) -> int:
     """Check the files at paths in one batch and write their reports to
-    stdout, in order; return the worst exit code.  A file's error is an
-    error line that names the file when ``named``, and is raised otherwise
-    (a single path: main writes its line).  Only when the batch raises is it
-    split (``_check_split``), so that each bad file gets its own error."""
+    stdout, in order; return the worst exit code.  Each failed file gets an
+    error line, which names the file when ``named``.  Only when the batch
+    raises is it split (``_check_split``), so that each bad file gets its
+    own error."""
     files, failed = [], {}  # the parsed documents; the error at each other position
     for n, path in enumerate(paths):
         try:
             files.append(_fields(_read(path)))
         except _ERRORS as exc:
-            if not named:
-                raise
             failed[n] = exc
-    check = _check_split if named else _check_batch
-    results = iter(check(files, tol, as_json) if files else ())
+    results = iter(_check_split(files, tol, as_json) if files else ())
     code, texts = EXIT_SOLUTION, []
     for n, path in enumerate(paths):
         result = failed[n] if n in failed else next(results)
@@ -629,7 +582,7 @@ def _check_files(paths: list, tol: float, as_json: bool, named: bool) -> int:
             texts.append(result[0])
             code = max(code, result[1])
         else:
-            code = _error(result, path)
+            code = _error(result, path if named else None)
     if texts:
         write_output(None, "".join(texts))
     return code

@@ -921,6 +921,7 @@ class TestDumpJson:
         {"grid": [[1.0, 2.5, -3.0], [1e12, 1e15, 1e16], [1e-4, 1e-5, 123456789012.345]]},
         {"nested": [[[1.0, [2.0, []]], {"k": [3.0, None]}], (4.0, 5.0)]},
         {"text": "tab\there \"quoted\" \\ \u00e9\u4e2d\U0001f600 \x00\x1f", "\u00e9": "key"},
+        {"100%": "50%s", "%d": [1.5, "%%"], "%(x)s": {"%": None}},
     ]
 
     @pytest.mark.parametrize("doc", CORPUS, ids=range(len(CORPUS)))
@@ -1173,16 +1174,22 @@ class TestManyFiles:
             return report
 
         monkeypatch.setattr(residuals, "full_report", counted)
+        sizes = []  # files per scenario built
+        scenario = cli._scenario
+        monkeypatch.setattr(cli, "_scenario", lambda files: sizes.append(len(files))
+                            or scenario(files))
         _, kinds = many_file_documents(tmp_path)
         kinds["invalid"] = [write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, kappa=-1.0), "bad.json")]
         valid = kinds["valid"] * 8
         paths = valid[:37] + kinds[bad] + valid[37:]
         code, out, err = run_main(capsys, ["check", *paths, "--json"])
-        got = list(calls)
+        got, built = list(calls), list(sizes)
         assert code == 2 and err.count("error: ") == 1
         assert out == run_main(capsys, ["check", *valid, "--json"])[1]
         if bad == "invalid":
+            # the failed batch's own scenario finds its invalid file
             assert got == [(len(paths), False), (1, False), (len(valid), True)]
+            assert built == [len(paths), 1, len(valid)]
             return
         # N files: at most one failed and one passed batch per halving
         levels = math.ceil(math.log2(len(paths))) + 1
@@ -1207,10 +1214,42 @@ class TestManyFiles:
                 assert (sc.h[m], sc.kappa[m]) == (alone.h, alone.kappa)
 
     def test_single_path_bytes(self, tmp_path, capsys):
-        # one path: no file name before the error, which main writes
-        path = write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, kappa=-1.0))
-        assert run_main(capsys, ["check", path]) == (
-            2, "", "error: kappa = -1 must be positive\n")
+        # one path: the error line of each failure class names no file
+        _, kinds = many_file_documents(tmp_path)
+        malformed, missing = kinds["unreadable"]
+        overflow = "is not finite: the scenario overflows the float range"
+        errors = {
+            malformed: f"{malformed}: invalid JSON at line 1",
+            missing: f"cannot read {missing}: [Errno 2] No such file or directory: {missing!r}",
+            write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, kappa=-1.0), "bad.json"):
+                "kappa = -1 must be positive",
+            kinds["ricci_overflow"][0]: f"the Ricci tensor {overflow}",
+        }
+        for flag in (["--json"], []):
+            for path, message in errors.items():
+                assert run_main(capsys, ["check", path] + flag) == (2, "", f"error: {message}\n")
+        # text output computes no identity: this one fails with --json only
+        assert run_main(capsys, ["check", kinds["phi_overflow"][0], "--json"]) == (
+            2, "", f"error: the trace identity residual {overflow}\n")
+
+    def test_batch_that_cannot_be_built(self, tmp_path, capsys, monkeypatch):
+        # a batch whose scenario cannot be built is split in halves, down to
+        # the file whose own build fails: that file alone gets the error line
+        _, kinds = many_file_documents(tmp_path)
+        valid = kinds["valid"]
+        expected = run_main(capsys, ["check", *valid, "--json"])[1]
+        bad = write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, h=0.75), "bad.json")
+        scenario = cli._scenario
+
+        def short_of_memory(files):
+            if any(f[2] == 0.75 for f in files):
+                raise MemoryError
+            return scenario(files)
+
+        monkeypatch.setattr(cli, "_scenario", short_of_memory)
+        paths = valid[:5] + [bad] + valid[5:]
+        assert run_main(capsys, ["check", *paths, "--json"]) == (
+            2, expected, f"error: {bad}: out of memory\n")
 
     def test_unreadable_stdout_once(self, tmp_path, monkeypatch, capsys):
         # the reports of a batch are one write: one error line if it fails
