@@ -44,25 +44,22 @@ import numpy as np  # noqa: E402
 
 from het3 import cli, constructors  # noqa: E402
 
-# family -> scalar curvature at kappa = 1 (each family rescales it by 1/kappa)
-FAMILIES = {
-    constructors.HEISENBERG_GENERIC: -2.0,
-    constructors.HEISENBERG_SKEW: None,
-    constructors.HYPERBOLIC: -6.0,
-    constructors.BOUNDARY: None,
-}
+# the member of each family at kappa; s_g is -2/kappa (generic, root sign +1)
+# and -6/kappa (hyperbolic), and the other two families fix their own
+FAMILIES = [
+    lambda kappa: constructors.construct_generic_reducible(kappa, -2.0 / kappa),
+    constructors.construct_skew_heisenberg,
+    lambda kappa: constructors.construct_hyperbolic_skew(kappa, -6.0 / kappa),
+    constructors.boundary_vanishing_torsion,
+]
 
 
 def documents(count: int, rng: np.random.Generator) -> list[dict]:
     """count exact members of the four families, in turn."""
     docs = []
     for n in range(count):
-        family = list(FAMILIES)[n % len(FAMILIES)]
         kappa = float(10.0 ** rng.uniform(-2, 2))
-        scalar = FAMILIES[family]
-        args = argparse.Namespace(
-            kappa=kappa, scalar=None if scalar is None else scalar / kappa, sign=1)
-        docs.append(cli.scenario_to_doc(cli.FAMILY_TABLE[family][0](args)))
+        docs.append(cli.scenario_to_doc(FAMILIES[n % len(FAMILIES)](kappa)))
     return docs
 
 

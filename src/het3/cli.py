@@ -188,33 +188,25 @@ def _numbers(value, shape: tuple) -> bool:
     return all(_numbers(v, shape[1:]) for v in value)
 
 
-def _not_finite(where: str) -> ScenarioFileError:
-    return ScenarioFileError(f"{where} must be finite (no NaN or inf)")
-
-
 def _floats(value, where: str, shape: tuple) -> list:
     """A vector (3,) or grid (3, 3) of JSON numbers as lists of plain floats,
-    each the float that np.array(value, dtype=float) holds."""
+    each read as ``_number`` reads it."""
     if not _numbers(value, shape):
         raise ScenarioFileError(
             f"{where} must be numbers of shape {shape}, got {reprlib.repr(value)}"
         )
-    try:
-        if len(shape) == 1:
-            return [float(v) for v in value]
-        return [[float(v) for v in row] for row in value]
-    except OverflowError as exc:  # an integer literal past the float range
-        raise _not_finite(where) from exc
+    if len(shape) == 1:
+        return [_number(v, where) for v in value]
+    return [[_number(v, where) for v in row] for row in value]
 
 
 def _number(value, where: str) -> float:
-    """A JSON number as the float that np.array(value, dtype=float) holds."""
+    """A JSON number as a plain float.  An integer is read from its digits,
+    as json reads a float literal: the nearest float, or ±inf past the float
+    range (as 1e400 is read)."""
     if not _is_number(value):
         raise ScenarioFileError(f"{where} must be a number, got {reprlib.repr(value)}")
-    try:
-        return float(value)
-    except OverflowError as exc:  # an integer literal past the float range
-        raise _not_finite(where) from exc
+    return value if type(value) is float else float(str(value))
 
 
 def _check_fields(obj: dict, required: tuple, optional: tuple, where: str) -> None:
@@ -234,8 +226,9 @@ def _fields(doc) -> tuple:
     and contorsion is the grid as rows or the checked normal form.
 
     Accepts the language of docs/scenario.schema.json, and on top of it
-    requires i < j, finite numbers (where they overflow here) and a unit xi;
-    the scenario that ``_scenario`` builds is validated as a whole.
+    requires i < j and a unit xi; the scenario that ``_scenario`` builds is
+    validated as a whole, finiteness included (an integer past the float
+    range is ±inf here, as a float literal past it is).
     """
     if not isinstance(doc, dict):
         raise ScenarioFileError("scenario document must be a JSON object")
@@ -296,15 +289,13 @@ def _scenario(files: list) -> residuals.SolitonScenario:
     entries, contorsions, h, kappa, phi = zip(*files)
     # a column of per-document values: an array, or the one document's value
     stack = np.array if len(files) > 1 else operator.itemgetter(0)
-    # One column per index triple: each document's sum of its values, or
-    # 0.0.  from_entries adds a column into zero rows, where adding the
-    # values one by one gives the same bits; a batch with no entry is flat.
-    columns: dict = {}
-    for m, document in enumerate(entries):
-        for key, value in document.items():
-            columns.setdefault(key, [0.0] * len(files))[m] = value
+    # One column per index triple, in the order the documents first name
+    # them: each document's sum of its values, or 0.0.  from_entries adds a
+    # column into zero rows, where adding the values one by one gives the
+    # same bits; a batch with no entry is flat.
+    keys = dict.fromkeys(key for document in entries for key in document)
     model = geometry.StructureConstants.from_entries(
-        [(*key, stack(column)) for key, column in columns.items()]
+        [(*key, stack([document.get(key, 0.0) for document in entries])) for key in keys]
         or [(0, 1, 0, stack([0.0] * len(files)))]
     )
     return residuals.SolitonScenario(
@@ -317,24 +308,18 @@ def _scenario(files: list) -> residuals.SolitonScenario:
 
 
 def _contorsion(forms: tuple) -> torsion.Contorsion:
-    """The contorsion of one document (batch shape ()), or of several as one
-    batch: the checked normal forms through one torsion.reducible, without
-    checking their axes again, and each grid given as rows as it is."""
-    if len(forms) == 1:
-        form = forms[0]
-        return torsion.Contorsion(form) if type(form) is list else torsion.build_reducible(form)
-    a = np.empty((len(forms), 3, 3))
-    normal = [m for m, form in enumerate(forms) if type(form) is not list]
+    """The contorsion of the documents as one batch of shape (N,), in their
+    order: the checked normal forms through one torsion.reducible, without
+    checking their axes again, and each grid given as rows as it is.  One
+    document is the N = 1 case, returned at batch shape ()."""
+    normal = [form for form in forms if type(form) is not list]
     if normal:
-        params = [forms[m] for m in normal]
-        a[normal] = torsion.reducible(
-            np.array([p.alpha for p in params]), 0.0,
-            np.array([p.gamma for p in params]), np.array([p.xi for p in params]),
-        ).a
-    given = [m for m, form in enumerate(forms) if type(form) is list]
-    if given:
-        a[given] = [forms[m] for m in given]
-    return torsion.Contorsion(a)
+        built = iter(torsion.reducible(
+            np.array([p.alpha for p in normal]), 0.0,
+            np.array([p.gamma for p in normal]), np.array([p.xi for p in normal]),
+        ).a)
+    a = np.array([form if type(form) is list else next(built) for form in forms])
+    return torsion.Contorsion(a if len(forms) > 1 else a[0])
 
 
 def parse_scenario(doc: dict) -> residuals.SolitonScenario:

@@ -15,7 +15,9 @@ Families:
 
 Each constructor checks its arguments, derives the family's parameters and
 returns through one tail, which checks that every derived value is finite
-(h = sqrt(-2 s) overflows at s = -1e308) before it builds any array.
+(h = sqrt(-2 s) overflows at s = -1e308) before it builds any array, and
+builds the contorsion with ``torsion.reducible``, the one writer of the
+normal form A = alpha g + gamma xi (x) xi.
 
 The constructors take arrays: kappa and s_g may carry a batch axis, the
 parameters are derived elementwise (np.sqrt and + - * / round as math.sqrt
@@ -51,10 +53,8 @@ from .errors import (
     OutOfWindow,
     ScenarioValidationError,
 )
-from .frame import IDENTITY, _per_grid
 
 AXIS = np.array([0.0, 0.0, 1.0])
-AXIS_PROJECTOR = np.outer(AXIS, AXIS)  # xi (x) xi
 CLASSIFY_TOL = 1e-9  # eigenvalue equalities in classify
 
 HEISENBERG_GENERIC = "heisenberg-generic"
@@ -117,18 +117,17 @@ def _constructed(
     """The one exit of every constructor: check the derived values, then build.
 
     ``model`` maps ``model_parameter`` to the structure constants; the
-    contorsion is A = alpha g + gamma xi (x) xi along AXIS.  The values
-    broadcast to one batch shape, and the scenario is one batch of it; for
-    batch shape () they are floats.
+    contorsion is torsion.reducible's A = alpha g + gamma xi (x) xi along
+    AXIS.  The values broadcast to one batch shape, and the scenario is one
+    batch of it; for batch shape () they are floats.
     """
     grid = _require_finite(alpha=alpha, gamma=gamma, h=h, s_g=scalar,
                            model_parameter=model_parameter, kappa=kappa)
     shape = grid.shape[1:]
     alpha, gamma, h, scalar, model_parameter, kappa = grid if shape else grid.tolist()
-    contorsion = _per_grid(alpha) * IDENTITY + _per_grid(gamma) * AXIS_PROJECTOR
     sc = residuals.SolitonScenario(
-        model=model(model_parameter), contorsion=torsion.Contorsion(contorsion), h=h,
-        kappa=kappa, phi=np.zeros(shape + (3,)),
+        model=model(model_parameter), contorsion=torsion.reducible(alpha, 0.0, gamma, AXIS),
+        h=h, kappa=kappa, phi=np.zeros(shape + (3,)),
     )
     return ConstructedSoliton(sc, family, alpha, gamma, h, scalar, model_parameter)
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import het3
-from het3 import cli, constructors, errors, frame, residuals
+from het3 import cli, constructors, errors, frame, geometry, residuals, torsion
 
 SKEW_HEISENBERG_DOC = {
     "structure_constants": [[1, 2, 3, 1.0]],
@@ -1040,6 +1041,8 @@ NUMBER_FIELDS = [
     (("contorsion", "gamma"), "contorsion.gamma"),
     (("structure_constants", 0, 3), "structure_constants[0] value"),
 ]
+# (a component of a vector field, the name of the field)
+VECTOR_FIELDS = [(("contorsion", "xi", 2), "contorsion.xi"), (("phi", 0), "phi")]
 
 
 def with_literal(path, literal):
@@ -1077,14 +1080,21 @@ class TestPlainFloats:
         assert seen[where] == expected
         assert math.copysign(1.0, seen[where]) == math.copysign(1.0, expected)
 
-    @pytest.mark.parametrize("path, where", NUMBER_FIELDS, ids=[w for _, w in NUMBER_FIELDS])
-    def test_past_the_float_range_exit_two(self, tmp_path, capsys, path, where):
+    @pytest.mark.parametrize("path", [p for p, _ in NUMBER_FIELDS + VECTOR_FIELDS],
+                             ids=[w for _, w in NUMBER_FIELDS + VECTOR_FIELDS])
+    def test_past_the_float_range_exit_two(self, tmp_path, capsys, path):
+        # an integer literal past the float range reads as the float literal
+        # 1e309 (inf) reads: the same exit code, stdout and stderr
         file = tmp_path / "big.json"
-        file.write_text(with_literal(path, str(10**309)))
-        assert cli.main(["check", str(file), "--json"]) == 2
-        captured = capsys.readouterr()
-        assert_one_error(captured)
-        assert captured.err == f"error: {where} must be finite (no NaN or inf)\n"
+        for flag, sign in itertools.product((["--json"], []), ("", "-")):
+            runs = []
+            for literal in (str(10**309), "1e309"):
+                file.write_text(with_literal(path, sign + literal))
+                runs.append(run_main(capsys, ["check", str(file)] + flag))
+            assert runs[0] == runs[1]
+            code, out, err = runs[1]
+            assert code == 2 and out == "" and err.startswith("error: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def run_main(capsys, argv):
@@ -1199,19 +1209,31 @@ class TestManyFiles:
         assert sum(passed) == len(valid) and len(passed) <= levels
 
     def test_scenario_rows_are_each_documents_own(self):
-        # normal forms and given grids in one batch, and each alone
+        # normal forms and given grids in one batch, and each alone: every
+        # row, zero signs included, is the library's own build of its document
         docs = list(report_documents().values())
         fields = [cli._fields(doc) for doc in docs]
         normal = [f for f in fields if type(f[1]) is not list]
         grids = [f for f in fields if type(f[1]) is list] * 2
+
+        def own(one):
+            """(c, A, phi, h, kappa) of one parsed document, built by the library."""
+            entries, form, h, kappa, phi = one
+            model = geometry.StructureConstants.from_entries(
+                [(*key, value) for key, value in entries.items()]
+            ) if entries else geometry.abelian()
+            a = np.asarray(form) if type(form) is list else torsion.build_reducible(form).a
+            return model.c, a, np.asarray(phi), h, kappa
+
         for batch in (fields, fields[::-1], normal, grids):
             sc = cli._scenario(batch)
             for m, one in enumerate(batch):
                 alone = cli._scenario([one])
-                np.testing.assert_array_equal(sc.model.c[m], alone.model.c)
-                np.testing.assert_array_equal(sc.contorsion.a[m], alone.contorsion.a)
-                np.testing.assert_array_equal(sc.phi[m], alone.phi)
-                assert (sc.h[m], sc.kappa[m]) == (alone.h, alone.kappa)
+                for rows in ((sc.model.c[m], sc.contorsion.a[m], sc.phi[m], sc.h[m], sc.kappa[m]),
+                             (alone.model.c, alone.contorsion.a, alone.phi, alone.h, alone.kappa)):
+                    for got, expected in zip(rows, own(one)):
+                        np.testing.assert_array_equal(got, expected)
+                        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
     def test_single_path_bytes(self, tmp_path, capsys):
         # one path: the error line of each failure class names no file

@@ -18,6 +18,7 @@ from het3.errors import (
     OutOfWindow,
     ScenarioValidationError,
 )
+from het3.frame import IDENTITY
 
 
 def all_families(kappa=1.0):
@@ -603,8 +604,8 @@ class TestBatchConstruction:
          (constructors.BOUNDARY, +1)],
     )
     def test_contorsion_is_the_normal_form(self, family, sign):
-        # A = alpha g + gamma xi (x) xi in one expression: the bits, zero signs
-        # included, of build_reducible with beta = 0, and of skew at gamma = 0
+        # the bits, zero signs included, of A = alpha g + gamma xi (x) xi
+        # written out here, one call and a batch over one kappa per decade
         build = {
             constructors.HEISENBERG_GENERIC: lambda k: constructors.construct_generic_reducible(
                 k, -2.0 / k, sign
@@ -617,11 +618,7 @@ class TestBatchConstruction:
             alphas, gammas = np.atleast_1d(built.alpha), np.atleast_1d(built.gamma)
             grids = np.reshape(built.scenario.contorsion.a, (-1, 3, 3))
             for a, alpha, gamma in zip(grids, alphas.tolist(), gammas.tolist()):
-                if gamma == 0.0:
-                    ref = torsion.skew(alpha).a
-                else:
-                    ref = torsion.build_reducible(torsion.ReducibleTorsionParams(
-                        alpha=alpha, beta=0.0, gamma=gamma, xi=constructors.AXIS)).a
+                ref = alpha * IDENTITY + gamma * np.outer(constructors.AXIS, constructors.AXIS)
                 np.testing.assert_array_equal(a, ref)
                 np.testing.assert_array_equal(np.signbit(a), np.signbit(ref))
 
