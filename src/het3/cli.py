@@ -314,10 +314,9 @@ def _contorsion(forms: tuple) -> torsion.Contorsion:
     document is the N = 1 case, returned at batch shape ()."""
     normal = [form for form in forms if type(form) is not list]
     if normal:
-        built = iter(torsion.reducible(
-            np.array([p.alpha for p in normal]), 0.0,
-            np.array([p.gamma for p in normal]), np.array([p.xi for p in normal]),
-        ).a)
+        built = iter(torsion.reducible(np.array([p.alpha for p in normal]),
+                                       np.array([p.gamma for p in normal]),
+                                       np.array([p.xi for p in normal])).a)
     a = np.array([form if type(form) is list else next(built) for form in forms])
     return torsion.Contorsion(a if len(forms) > 1 else a[0])
 

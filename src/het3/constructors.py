@@ -126,7 +126,7 @@ def _constructed(
     shape = grid.shape[1:]
     alpha, gamma, h, scalar, model_parameter, kappa = grid if shape else grid.tolist()
     sc = residuals.SolitonScenario(
-        model=model(model_parameter), contorsion=torsion.reducible(alpha, 0.0, gamma, AXIS),
+        model=model(model_parameter), contorsion=torsion.reducible(alpha, gamma, AXIS),
         h=h, kappa=kappa, phi=np.zeros(shape + (3,)),
     )
     return ConstructedSoliton(sc, family, alpha, gamma, h, scalar, model_parameter)

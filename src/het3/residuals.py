@@ -356,9 +356,9 @@ def _remark(sc: SolitonScenario, alpha: np.ndarray, ric0: np.ndarray) -> np.ndar
     """The recombined identity of ``remark_identity_residual``, unchecked."""
     s = sc.curvature_g.scalar
     shift = s - 6.0 * alpha * alpha
-    # squared by pow, as a single scenario's ** 2 squares it: an array's ** 2
-    # multiplies, which differs in the last bit in about 7 of 10000 draws
-    square = np.float_power(shift, 2) if shift.ndim else shift ** 2
+    # squared by pow at every batch shape, as a single float64's ** 2 squares
+    # it: an array's ** 2 multiplies, off in the last bit in 7 of 10000 draws
+    square = np.float_power(shift, 2)
     return (
         2.0 * sc.kappa * (ric0 * ric0).sum(axis=(-2, -1))
         + 2.0 * sc.phi_sq

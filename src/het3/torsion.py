@@ -13,8 +13,9 @@ part *zeta.
 
 The reducible normal form is A = alpha g + beta *xi + gamma xi (x) xi for a
 unit axis xi; beta is forced to vanish on compact models (delta xi = 2 beta)
-and is therefore rejected by scenario validation, though the algebra here
-accepts it.
+and is therefore rejected by scenario validation.  ``reducible`` writes the
+compact normal form A = alpha g + gamma xi (x) xi, and only
+``build_reducible`` accepts beta.
 
 Contorsions and connection coefficients accept leading batch axes
 (A has shape (..., 3, 3)); a single contorsion is batch shape ().  So do
@@ -109,21 +110,21 @@ class ReducibleTorsionParams:
 
 
 def build_reducible(params: ReducibleTorsionParams) -> Contorsion:
-    """A = alpha g + beta *xi + gamma xi (x) xi."""
-    return reducible(params.alpha, params.beta, params.gamma, params.xi)
+    """A = alpha g + beta *xi + gamma xi (x) xi: the compact normal form
+    (``reducible``) plus beta *xi, the only code that reads beta."""
+    # quietly, as in reducible: an infinite beta leaves a NaN or inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        star = _per_grid(params.beta) * star_matrix(params.xi)
+        return Contorsion(reducible(params.alpha, params.gamma, params.xi).a + star)
 
 
-def reducible(alpha, beta, gamma, xi: np.ndarray) -> Contorsion:
-    """``build_reducible`` of parameters whose axes (..., 3) are already
-    checked to be unit vectors, as ReducibleTorsionParams checks them."""
+def reducible(alpha, gamma, xi: np.ndarray) -> Contorsion:
+    """The compact normal form A = alpha g + gamma xi (x) xi, without beta,
+    for axes (..., 3) already checked as ReducibleTorsionParams checks them."""
     # quietly: an infinite coefficient times a zero entry, or a sum past the
     # float range, leaves a NaN or inf that validate_scenario rejects by name
     with np.errstate(over="ignore", invalid="ignore"):
-        a = (
-            _per_grid(alpha) * IDENTITY
-            + _per_grid(beta) * star_matrix(xi)
-            + _per_grid(gamma) * (xi[..., :, None] * xi[..., None, :])
-        )
+        a = _per_grid(alpha) * IDENTITY + _per_grid(gamma) * (xi[..., :, None] * xi[..., None, :])
     return Contorsion(a)
 
 

@@ -172,6 +172,14 @@ class TestRandomBatches:
             else:
                 assert remark[n] == single == residuals.remark_identity_residual(sc)
 
+    def test_scalar_square_is_float_power(self):
+        # the remark identity squares s - 6 alpha^2 by np.float_power at every
+        # batch shape; a single scenario's float64 ** 2 gives the same value
+        rng = np.random.default_rng(2026)
+        values = rng.normal(size=20_000) * 10.0 ** rng.uniform(-5, 5, size=20_000)
+        for x in values:
+            assert x ** 2 == np.float_power(x, 2), repr(x)
+
     def test_single_scenario_is_batch_shape_empty(self):
         built = constructors.construct_hyperbolic_skew(1.0, -6.0)
         report = residuals.full_report(built.scenario)

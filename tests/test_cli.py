@@ -1210,8 +1210,15 @@ class TestManyFiles:
 
     def test_scenario_rows_are_each_documents_own(self):
         # normal forms and given grids in one batch, and each alone: every
-        # row, zero signs included, is the library's own build of its document
-        docs = list(report_documents().values())
+        # row, zero signs included, is its document's own scenario, the
+        # normal form written here as the compact formula alpha g + gamma xi xi;
+        # negative alpha and gamma along -e3 and -e2 give zeros of either sign
+        docs = list(report_documents().values()) + [
+            dict(SKEW_HEISENBERG_DOC,
+                 contorsion={"alpha": alpha, "beta": 0.0, "gamma": gamma, "xi": xi})
+            for alpha, gamma in ((-0.5, -0.3), (-0.5, 0.3), (0.5, -0.3))
+            for xi in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, -1.0, 0.0])
+        ]
         fields = [cli._fields(doc) for doc in docs]
         normal = [f for f in fields if type(f[1]) is not list]
         grids = [f for f in fields if type(f[1]) is list] * 2
@@ -1222,7 +1229,8 @@ class TestManyFiles:
             model = geometry.StructureConstants.from_entries(
                 [(*key, value) for key, value in entries.items()]
             ) if entries else geometry.abelian()
-            a = np.asarray(form) if type(form) is list else torsion.build_reducible(form).a
+            a = np.asarray(form) if type(form) is list else (
+                form.alpha * frame.IDENTITY + form.gamma * np.outer(form.xi, form.xi))
             return model.c, a, np.asarray(phi), h, kappa
 
         for batch in (fields, fields[::-1], normal, grids):

@@ -153,6 +153,49 @@ class TestBuildReducible:
             torsion.ReducibleTorsionParams(alpha=0.0, beta=0.0, gamma=1.0, xi=xi)
 
 
+def assert_same_bits(got, expected):
+    """Equal entries and equal sign bits, so that +0.0 and -0.0 differ."""
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestNormalFormReference:
+    """reducible and build_reducible against formulas written out here:
+    alpha g + gamma xi (x) xi, and the same plus beta *xi as EPS @ xi."""
+
+    VALUES = (-0.7, 0.0, 1.3)
+
+    @staticmethod
+    def axes():
+        v = np.random.default_rng(7).normal(size=3)
+        v /= np.linalg.norm(v)
+        return [sign * e for e in np.eye(3) for sign in (1.0, -1.0)] + [v]
+
+    @staticmethod
+    def compact(alpha, gamma, xi):
+        return alpha * frame.IDENTITY + gamma * np.outer(xi, xi)
+
+    def cases(self):
+        """(alpha, beta, gamma, xi) over every sign of each and every axis."""
+        return [(alpha, beta, gamma, xi) for alpha in self.VALUES for beta in self.VALUES
+                for gamma in self.VALUES for xi in self.axes()]
+
+    def test_single(self):
+        for alpha, beta, gamma, xi in self.cases():
+            assert_same_bits(torsion.reducible(alpha, gamma, xi).a, self.compact(alpha, gamma, xi))
+            params = torsion.ReducibleTorsionParams(alpha, beta, gamma, xi)
+            assert_same_bits(torsion.build_reducible(params).a,
+                             self.compact(alpha, gamma, xi) + beta * (frame.EPS @ xi))
+
+    def test_batch(self):
+        alpha, beta, gamma, xi = (np.array(column) for column in zip(*self.cases()))
+        compact = np.array([self.compact(*one) for one in zip(alpha, gamma, xi)])
+        star = np.array([b * (frame.EPS @ x) for b, x in zip(beta, xi)])
+        assert_same_bits(torsion.reducible(alpha, gamma, xi).a, compact)
+        params = torsion.ReducibleTorsionParams(alpha, beta, gamma, xi)
+        assert_same_bits(torsion.build_reducible(params).a, compact + star)
+
+
 class TestConnection:
     def test_zero_contorsion(self):
         model = geometry.heisenberg(1.0)
