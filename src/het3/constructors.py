@@ -39,7 +39,6 @@ in-window samples of each SWEEP_BLOCK to one constructor call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +64,7 @@ BOUNDARY = "boundary"
 FAMILIES = (HEISENBERG_GENERIC, HEISENBERG_SKEW, HYPERBOLIC, BOUNDARY)
 
 
-@dataclass(frozen=True)
-class ConstructedSoliton:
+class ConstructedSoliton(NamedTuple):
     """A scenario plus the derived parameters of its family.
 
     For a batch every parameter is an array of the batch shape; for a single
@@ -248,8 +246,7 @@ def boundary_vanishing_torsion(kappa) -> ConstructedSoliton:
                         alpha=0.0, gamma=0.0, h=h, scalar=scalar, kappa=kappa)
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     """Ricci eigenvalue profile of the underlying model.
 
     For a batch, ``kind`` is an array of strings of the batch shape and
@@ -307,8 +304,10 @@ def classify(sc: residuals.SolitonScenario) -> ClassificationVerdict:
 
 
 class SweepRow(NamedTuple):
-    """One sample of a sweep.  A named tuple: a sweep makes one per point,
-    and it builds in a quarter of the time of a frozen dataclass."""
+    """One sample of a sweep.  The record rule: a frozen dataclass only where
+    an object caches derived state on itself (frame.cached_property), so that
+    no field is rebound under its caches; a __slots__ class where __init__
+    coerces or checks; else a named tuple, as here: no code to write."""
 
     scalar: float
     kappa_scalar: float

@@ -30,8 +30,6 @@ closed form of the case R1 = R2 that reports use; it is bit for bit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # The orientation, stated here only.  Cyclic index pairs: *e_a = e_i ^ e_j
@@ -102,7 +100,6 @@ def dot(u, v) -> np.ndarray:
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
 class CurvatureOperator:
     """A section of Lambda^2 x Lambda^2 stored as a 3x3 dual-coefficient grid.
 
@@ -112,10 +109,10 @@ class CurvatureOperator:
     cross(e_i, e_j) @ entries.
     """
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", as_grid(self.entries))
+    def __init__(self, entries):
+        self.entries = as_grid(entries)
 
 
 def curv_compose(r1: CurvatureOperator, r2: CurvatureOperator) -> np.ndarray:

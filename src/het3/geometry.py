@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,17 +43,16 @@ STRUCT_TOL = 1e-12
 TRACE_TOL = 1e-9  # trace(Ric) against the given s in the closed forms
 
 
-@dataclass(frozen=True)
 class StructureConstants:
     """Dense bracket coefficients c[..., i, j, k], antisymmetric in (i, j)."""
 
-    c: np.ndarray
+    __slots__ = ("c",)
 
-    def __post_init__(self):
-        a = np.asarray(self.c, dtype=float)
+    def __init__(self, c):
+        a = np.asarray(c, dtype=float)
         if a.shape[-3:] != (3, 3, 3):
             raise ValueError("structure constants must be a 3x3x3 grid")
-        object.__setattr__(self, "c", a)
+        self.c = a
 
     @classmethod
     def from_entries(cls, entries) -> "StructureConstants":
@@ -182,8 +181,7 @@ def endo_from_operator(r: CurvatureOperator) -> np.ndarray:
     return star_matrix(EPS @ r.entries[..., None, :, :])
 
 
-@dataclass(frozen=True)
-class CurvatureData:
+class CurvatureData(NamedTuple):
     """Riemann operator, Ricci tensor, and scalar curvature of a model."""
 
     riemann: CurvatureOperator

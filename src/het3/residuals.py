@@ -30,8 +30,8 @@ and ``curvature_D`` (the curvature R^D), both from one
 ``delta_phi`` (delta^g phi) and ``phi_sq`` (|phi|^2) are cached on first
 use, and every residual below reads them from there.  Every reader shares
 the cached objects, so neither they nor the scenario's arrays may be
-changed in place.  A report computes the two identities only when they are
-read: a sweep never reads them.
+changed in place, nor a field of theirs rebound.  A report computes the
+two identities only when they are read: a sweep never reads them.
 
 The Einstein term kappa R^D o_g R^D is ``frame.curv_square``, the Hodge
 closed form tr(M) g - M of the Gram matrix M of the rows of R^D.entries,

@@ -25,6 +25,7 @@ the reducible normal form's parameters, the axis xi included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +86,6 @@ class Contorsion:
         return np.maximum(theta.max(axis=(-2, -1)), zeta.max(axis=-1)) <= SKEW_TOL
 
 
-@dataclass(frozen=True)
 class ReducibleTorsionParams:
     """Normal-form parameters (alpha, beta, gamma) along a unit axis xi.
 
@@ -93,14 +93,11 @@ class ReducibleTorsionParams:
     per sample or one for all; each axis must be a unit vector up to UNIT_TOL.
     """
 
-    alpha: float | np.ndarray
-    beta: float | np.ndarray
-    gamma: float | np.ndarray
-    xi: np.ndarray
+    __slots__ = ("alpha", "beta", "gamma", "xi")
 
-    def __post_init__(self):
-        xi = as_vec(self.xi)
-        object.__setattr__(self, "xi", xi)
+    def __init__(self, alpha, beta, gamma, xi):
+        self.alpha, self.beta, self.gamma = alpha, beta, gamma
+        self.xi = xi = as_vec(xi)
         with np.errstate(over="ignore"):
             norm_sq = dot(xi, xi)
         # a NaN axis passes here, and its NaN contorsion fails validation
@@ -133,8 +130,7 @@ def skew(alpha) -> Contorsion:
     return Contorsion(_per_grid(alpha) * IDENTITY)
 
 
-@dataclass(frozen=True)
-class TorsionConnection:
+class TorsionConnection(NamedTuple):
     """Levi-Civita coefficients plus the contorsion contribution."""
 
     base: np.ndarray
