@@ -15,7 +15,10 @@ script, which it reads and does not change:
   ``check`` and ``check --json`` of all of them in one call;
 * every sweep of the sweep pool and the sweep probes of seeds 1 and 2;
 * ``construct -o FILE`` of each family (the generic one with both signs) at
-  kappa = 10^(k/2), k = -16..16, and kappa s_g in {-30, -24, -6, -1e-3}.
+  kappa = 10^(k/2), k = -16..16: with ``--scalar`` at kappa s_g in {-30,
+  -24, -6, -1e-3} for the two families that read it (``heisenberg-generic``
+  and ``hyperbolic``), and once per kappa for the two that fix s_g and
+  reject the option (``heisenberg-skew`` and ``boundary``).
 
 --files N takes the first N items of every source (default: all of them).
 The documents are written once, to one directory that both trees read, so
@@ -105,14 +108,15 @@ def corpus(directory: str, files: int | None) -> list[dict]:
             runs += [{"name": f"sweep {kind}{seed}-{n:04d}", "argv": s.argv}
                      for n, s in enumerate(sweeps[take])]
     output = os.path.join(directory, "constructed.json")
+    kappas = [10.0 ** (k / 2) for k in range(-16, 17)]
     constructs = [
         ["construct", family, "--kappa", repr(kappa), "--scalar", repr(ks / kappa)] + sign
         for family, sign in (("heisenberg-generic", ["--sign", "1"]),
-                             ("heisenberg-generic", ["--sign", "-1"]),
-                             ("heisenberg-skew", []), ("hyperbolic", []), ("boundary", []))
-        for kappa in (10.0 ** (k / 2) for k in range(-16, 17))
+                             ("heisenberg-generic", ["--sign", "-1"]), ("hyperbolic", []))
+        for kappa in kappas
         for ks in CONSTRUCT_KS
-    ]
+    ] + [["construct", family, "--kappa", repr(kappa)]
+         for family in ("heisenberg-skew", "boundary") for kappa in kappas]
     runs += [{"name": " ".join(argv), "argv": argv + ["-o", output], "output": output}
              for argv in constructs[take]]
     return runs

@@ -14,7 +14,9 @@ times, in milliseconds:
   s_g = -6), with stdout written to a buffer;
 * ``het3_self_import``: the self times of the ``het3`` modules, summed from
   the process's ``-X importtime`` lines (it runs under ``-X importtime``
-  for this, which every phase above pays the same on both trees).
+  for this, which every phase above pays the same on both trees);
+* ``het3_share``: het3's share of a one-check process, per process
+  ``import_het3_cli + parser + first_check``.
 
 The two bytecode modes:
 
@@ -66,12 +68,13 @@ def worker(tree: str, document: str) -> None:
     import json
 
     phases = {"import_numpy": t1 - t0, "import_het3_cli": t2 - t1, "parser": t3 - t2,
-              "first_check": ticks[0] - t3, "second_check": ticks[1] - ticks[0]}
+              "first_check": ticks[0] - t3, "second_check": ticks[1] - ticks[0],
+              "het3_share": ticks[0] - t1}
     print(json.dumps({k: 1e3 * v for k, v in phases.items()}))
 
 
 PHASES = ("import_numpy", "import_het3_cli", "parser", "first_check", "second_check",
-          "het3_self_import")
+          "het3_self_import", "het3_share")
 MODES = ("source", "compiled")
 ROLES = ("parent", "changed")
 

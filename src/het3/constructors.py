@@ -304,10 +304,11 @@ def classify(sc: residuals.SolitonScenario) -> ClassificationVerdict:
 
 
 class SweepRow(NamedTuple):
-    """One sample of a sweep.  The record rule: a frozen dataclass only where
-    an object caches derived state on itself (frame.cached_property), so that
-    no field is rebound under its caches; a __slots__ class where __init__
-    coerces or checks; else a named tuple, as here: no code to write."""
+    """One sample of a sweep.  The record rule: a record that only holds
+    fields is a named tuple, as here: no code to write; every other record is
+    a class with an __init__, with __slots__ unless it caches on itself
+    (frame.cached_property).  No record is frozen: by contract, none has a
+    field rebound or is changed in place after it is built."""
 
     scalar: float
     kappa_scalar: float

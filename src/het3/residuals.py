@@ -29,9 +29,10 @@ and ``curvature_D`` (the curvature R^D), both from one
 ``geometry.curvature_pair`` pass, ``nabla_phi`` (nabla^g phi),
 ``delta_phi`` (delta^g phi) and ``phi_sq`` (|phi|^2) are cached on first
 use, and every residual below reads them from there.  Every reader shares
-the cached objects, so neither they nor the scenario's arrays may be
-changed in place, nor a field of theirs rebound.  A report computes the
-two identities only when they are read: a sweep never reads them.
+them and the scenario's arrays: not rebound, not changed in place is a
+contract for every het3 record, as no record is frozen (the record rule of
+``constructors.SweepRow``).  A report computes the two identities only
+when they are read: a sweep never reads them.
 
 The Einstein term kappa R^D o_g R^D is ``frame.curv_square``, the Hodge
 closed form tr(M) g - M of the Gram matrix M of the rows of R^D.entries,
@@ -61,8 +62,6 @@ once, where it computes it: the residuals, identities and classify share it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,19 +114,14 @@ def _norm(x: np.ndarray, core: int) -> np.ndarray:
     return np.sqrt(dot(flat, flat))
 
 
-@dataclass(frozen=True)
 class SolitonScenario:
     """One candidate Heterotic soliton on a homogeneous 3D model, or a batch
     of them along leading axes."""
 
-    model: geometry.StructureConstants
-    contorsion: torsion.Contorsion
-    h: float | np.ndarray
-    kappa: float | np.ndarray
-    phi: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", as_vec(self.phi))
+    def __init__(self, model: geometry.StructureConstants, contorsion: torsion.Contorsion,
+                 h: float | np.ndarray, kappa: float | np.ndarray, phi=(0.0, 0.0, 0.0)):
+        self.model, self.contorsion, self.h, self.kappa = model, contorsion, h, kappa
+        self.phi = as_vec(phi)
 
     def validate(self) -> None:
         """Run ``validate_scenario`` once per scenario object: a pass is
@@ -377,26 +371,22 @@ def _finite(what: str, value: np.ndarray) -> np.ndarray:
     return value
 
 
-@dataclass(frozen=True)
 class ResidualReport:
     """All residuals of a scenario plus their norms and the verdict.
 
-    For a batch every field but ``tolerance`` carries the batch axes, and
-    ``verdict`` is an array of strings; for a single scenario the norms are
-    numpy floats and the verdict a string.  The two identities are computed
-    on first read, from ``scenario``.
+    ``worst`` is the largest norm per sample, which the verdict compares
+    with ``tolerance``.  For a batch every field but ``tolerance`` carries
+    the batch axes, and ``verdict`` is an array of strings; for a single
+    scenario the norms are numpy floats and the verdict a string.  The two
+    identities are computed on first read, from ``scenario``.
     """
 
-    scenario: SolitonScenario = field(repr=False)
-    einstein_sym: np.ndarray
-    einstein_skew: np.ndarray
-    yang_mills: np.ndarray
-    dilaton: np.ndarray
-    maxwell: np.ndarray
-    norms: dict
-    worst: np.ndarray  # the largest norm per sample, which the verdict compares with tolerance
-    tolerance: float
-    verdict: str | np.ndarray
+    def __init__(self, scenario: SolitonScenario, einstein_sym, einstein_skew, yang_mills,
+                 dilaton, maxwell, norms: dict, worst, tolerance: float, verdict):
+        self.scenario, self.norms, self.worst = scenario, norms, worst
+        self.einstein_sym, self.einstein_skew = einstein_sym, einstein_skew
+        self.yang_mills, self.dilaton, self.maxwell = yang_mills, dilaton, maxwell
+        self.tolerance, self.verdict = tolerance, verdict
 
     @property
     def is_solution(self) -> bool | np.ndarray:

@@ -24,7 +24,6 @@ the reducible normal form's parameters, the axis xi included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,15 +47,12 @@ UNIT_TOL = 1e-9
 SKEW_TOL = 1e-10  # Theta and zeta of a purely skew torsion A = alpha g
 
 
-@dataclass(frozen=True)
 class Contorsion:
     """The tensor A of a metric connection D = nabla^g + *(A(.)); its parts
     tr(A)/3, Theta and zeta are cached on first read."""
 
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_grid(self.a))
+    def __init__(self, a):
+        self.a = as_grid(a)
 
     @cached_property
     def trace_part(self) -> np.ndarray:

@@ -10,7 +10,6 @@ of the single call (index copies, products with one +-1 entry per sum, sums
 of three terms added in order, and the same BLAS calls).
 """
 
-import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -198,7 +197,10 @@ class TestRandomBatches:
             (dict(h=math.inf), ScenarioValidationError),
         ]:
             bad = list(scenarios)
-            bad[5] = dataclasses.replace(bad[5], **change)
+            sc = bad[5]
+            fields = dict(model=sc.model, contorsion=sc.contorsion, h=sc.h, kappa=sc.kappa,
+                          phi=sc.phi)
+            bad[5] = residuals.SolitonScenario(**{**fields, **change})
             with pytest.raises(error):
                 residuals.validate_scenario(residuals.SolitonScenario.stack(bad))
 

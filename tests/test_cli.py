@@ -444,6 +444,41 @@ class TestConstruct:
     def test_missing_scalar(self):
         assert cli.main(["construct", "hyperbolic", "--kappa", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["heisenberg-skew", "--kappa", "1", "--scalar", "5"], "--scalar"),
+            (["boundary", "--kappa", "1", "--scalar", "-24"], "--scalar"),
+            (["hyperbolic", "--kappa", "1", "--scalar", "-6", "--sign", "-1"], "--sign"),
+            (["heisenberg-skew", "--kappa", "1", "--sign", "-1"], "--sign"),
+            (["heisenberg-generic", "--kappa", "1", "--scalar", "-2"], None),
+            (["heisenberg-generic", "--kappa", "1", "--scalar", "-2", "--sign", "1"], None),
+            (["heisenberg-generic", "--kappa", "1", "--scalar", "-2", "--sign", "-1"], None),
+            (["hyperbolic", "--kappa", "1", "--scalar", "-6"], None),
+            (["heisenberg-skew", "--kappa", "1"], None),
+            (["boundary", "--kappa", "1"], None),
+        ],
+        ids=["skew_scalar", "boundary_scalar", "hyperbolic_sign", "skew_sign",
+             "generic", "generic_sign_plus", "generic_sign_minus", "hyperbolic", "skew",
+             "boundary"],
+    )
+    def test_options_the_family_reads(self, capsys, argv, unread):
+        code = cli.main(["construct", *argv])
+        out, err = capsys.readouterr()
+        if unread is None:
+            assert code == 0 and json.loads(out) and err.startswith(f"family={argv[0]} ")
+        else:
+            assert code == 2 and out == ""
+            assert err == f"error: the {argv[0]} family does not read {unread}\n"
+
+    def test_sign_not_given_is_plus_one(self, capsys):
+        runs = []
+        for sign in ([], ["--sign", "1"], ["--sign", "-1"]):
+            argv = ["construct", "heisenberg-generic", "--kappa", "1", "--scalar", "-2", *sign]
+            assert cli.main(argv) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1] != runs[2]
+
     def test_stdout_output(self, capsys):
         assert cli.main(["construct", "boundary", "--kappa", "1"]) == 0
         out = capsys.readouterr().out

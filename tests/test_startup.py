@@ -8,7 +8,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "scripts", "startup.py")
 PHASES = {"import_numpy", "import_het3_cli", "parser", "first_check", "second_check",
-          "het3_self_import"}
+          "het3_self_import", "het3_share"}
 
 
 def test_a_tree_against_itself():
