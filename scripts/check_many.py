@@ -3,8 +3,8 @@
     python3 scripts/check_many.py [--files 1000] [--repeats 5] [--seed 0]
 
 Run it from the root of a het3 checkout; it imports het3 from ``src/``.  It
-writes two corpora of --files scenario files each (the four families in turn,
-kappa log-uniform in [1e-2, 1e2]) to a temporary directory:
+writes three corpora of --files scenario files each (the four families in
+turn, kappa log-uniform in [1e-2, 1e2]) to a temporary directory:
 
 * ``exact``: every file an exact member.  Every file is valid, so each block
   of ``cli.CHECK_BLOCK`` files is one batch, and most residuals are exact
@@ -14,6 +14,9 @@ kappa log-uniform in [1e-2, 1e2]) to a temporary directory:
   nonzero residuals), and one file per block of ``cli.CHECK_BLOCK``, at a
   seeded position, has kappa = -1 (an error), so that every batch raises and
   is split around it.
+* ``invalid``: the exact documents with kappa = -1 at every tenth file, so
+  that every batch raises and is split around many invalid files: each of
+  them alone, and the rest as one batch.
 
 For each corpus it times, in this one process:
 
@@ -72,6 +75,11 @@ def screening(docs: list[dict], rng: np.random.Generator) -> list[dict]:
     return docs
 
 
+def invalid(docs: list[dict]) -> list[dict]:
+    """docs with kappa = -1 at every tenth file."""
+    return [dict(doc, kappa=-1.0) if n % 10 == 9 else doc for n, doc in enumerate(docs)]
+
+
 def write_files(directory: str, name: str, docs: list[dict]) -> list[str]:
     paths = []
     for n, doc in enumerate(docs):
@@ -126,7 +134,7 @@ def main() -> int:
     args = p.parse_args()
     rng = np.random.default_rng(args.seed)
     exact = documents(args.files, rng)
-    corpora = {"exact": exact, "screening": screening(exact, rng)}
+    corpora = {"exact": exact, "screening": screening(exact, rng), "invalid": invalid(exact)}
     result = {"files": args.files, "repeats": args.repeats, "seed": args.seed}
     with tempfile.TemporaryDirectory() as directory:
         for name, docs in corpora.items():

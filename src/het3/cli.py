@@ -29,16 +29,16 @@ environment variable; it must be positive and finite.
 ``check PATH [PATH ...]`` checks every file in one batched pass (in blocks
 of CHECK_BLOCK files): each document is parsed to plain floats, the valid
 ones become one scenario (batch shape (N,), or () for one file, the N = 1
-case), and that scenario goes through one validate, one full_report and one
-classify.  Each file's output is byte for byte what its own check writes, in
-the order of the paths, and the exit code is the worst over the files (2
-over 1 over 0).  One path or many take the same path: a file that fails
-writes its error line, ``error: PATH: message`` with more than one path and
-``error: message`` with one, and the others still get their reports.  Only
-a batch that raises is split, so that each bad file gets its own error: the
-files that fail validation are checked alone and the rest again as one
-batch; a batch that passes validation and still raises (a residual past the
-float range) is split in halves.  Text output computes neither identity.
+case), and that scenario goes through one full_report, which validates it,
+and one classify.  Each file's output is byte for byte what its own check
+writes, in the order of the paths, and the exit code is the worst over the
+files (2 over 1 over 0).  One path or many take the same path: a file that
+fails writes its error line, ``error: PATH: message`` with more than one
+path and ``error: message`` with one, and the others still get their
+reports.  Only a batch that raises is split, so that each bad file gets its
+own error: the files that its validation error names (``invalid_samples``)
+are checked alone and the rest again as one batch; any other error splits
+it in halves.  Text output computes neither identity.
 Every JSON document is written by json.dumps with indent=2 as a layout,
 its float and string leaves replaced by ``%s`` slots, filled by one walk
 over those leaves; a report reuses the layout of its shape (remark_identity
@@ -326,7 +326,7 @@ def parse_scenario(doc: dict) -> residuals.SolitonScenario:
     scenario of batch shape () (``_scenario``)."""
     sc = _scenario([_fields(doc)])
     try:
-        sc.validate()
+        residuals.validate_scenario(sc)
     except Het3Error as exc:
         raise ScenarioFileError(str(exc)) from exc
     return sc
@@ -502,7 +502,7 @@ def _text_report(sc, report, classification, n) -> str:
 
 def _check_batch(sc, tol: float, as_json: bool) -> list:
     """(output text, exit code) per sample of a scenario (``_scenario``),
-    from one validate, one full_report and one classify."""
+    from one full_report, which validates it, and one classify."""
     report = residuals.full_report(sc, tol=tol)
     classification = constructors.classify(sc)
     render = _json_report if as_json else _text_report
@@ -519,18 +519,16 @@ def _check_split(files: list, tol: float, as_json: bool) -> list:
     """(output text, exit code) per parsed document, or the error to report
     for it: one batch, and only if that raises, parts of it in turn, down
     to the documents whose own check raises.  The parts are each document
-    that fails validation alone and the others as one batch, or, when every
-    document passes it (a residual past the float range) or the batch could
-    not be built, the two halves."""
-    sc = None
+    that the batch's error names in its ``invalid_samples`` alone and the
+    others as one batch, or, for an error that names none (a residual past
+    the float range, a batch not built), the two halves."""
     try:
-        sc = _scenario(files)
-        return _check_batch(sc, tol, as_json)
+        return _check_batch(_scenario(files), tol, as_json)
     except _ERRORS as exc:
         if len(files) == 1:
             return [exc]
-    invalid = np.zeros(len(files), bool) if sc is None else residuals.invalid_samples(sc)
-    if invalid.any():
+        invalid = getattr(exc, "invalid_samples", None)
+    if invalid is not None:
         parts = [[m] for m in np.flatnonzero(invalid)] + [np.flatnonzero(~invalid)]
     else:
         parts = np.array_split(np.arange(len(files)), 2)

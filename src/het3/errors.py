@@ -4,7 +4,11 @@ import math
 
 
 class Het3Error(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors.  A validation error
+    (``geometry.raise_first``) sets ``invalid_samples``, per sample whether
+    it fails a check; every other error leaves it None."""
+
+    invalid_samples = None
 
 
 class AntisymmetryViolation(Het3Error):

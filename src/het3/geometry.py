@@ -138,19 +138,22 @@ def every(masks) -> np.ndarray:
     return functools.reduce(operator.and_, masks)
 
 
-def failing(checks: list) -> np.ndarray:
-    """The samples that fail any of checks, (passed, error) pairs: one
-    reduction, without a truth test per check (slow on numpy bools)."""
-    return ~every(passed for passed, _ in checks)
+def raise_first(checks: list) -> None:
+    """Raise the error of the first of checks, (passed, error) pairs, that a
+    sample fails, its ``invalid_samples`` the samples that fail any: one
+    reduction, and a truth test per check (slow on numpy bools) on failure."""
+    invalid = ~every(passed for passed, _ in checks)
+    if invalid.any():
+        error = next(error for passed, error in checks if not passed.all())()
+        error.invalid_samples = invalid
+        raise error
 
 
 def validate(sc: StructureConstants) -> None:
     """Raise unless every model's c is antisymmetric in (i, j) and satisfies
     Jacobi up to STRUCT_TOL: the error of the first of ``model_checks`` that
     a model fails."""
-    checks = model_checks(sc)
-    if failing(checks).any():
-        raise next(error for passed, error in checks if not passed.all())()
+    raise_first(model_checks(sc))
 
 
 def levi_civita(sc: StructureConstants) -> np.ndarray:

@@ -21,8 +21,9 @@ every residual and norm then has the shape and the value it has for that
 scenario alone.  ``SolitonScenario.stack`` joins single scenarios into one
 batch, so that one ``full_report`` evaluates them all.
 
-Each scenario is validated once, through ``SolitonScenario.validate``, and
-derives every shared term once: ``SolitonScenario.connection``
+Each scenario is validated once, by the one ``validate_scenario`` call of
+``full_report`` (or of ``cli.parse_scenario``, for classify), and derives
+every shared term once: ``SolitonScenario.connection``
 (the torsion connection D, whose ``.base`` holds the Levi-Civita
 coefficients), ``curvature_g`` (Riemann, Ricci and scalar curvature of g)
 and ``curvature_D`` (the curvature R^D), both from one
@@ -123,16 +124,6 @@ class SolitonScenario:
         self.model, self.contorsion, self.h, self.kappa = model, contorsion, h, kappa
         self.phi = as_vec(phi)
 
-    def validate(self) -> None:
-        """Run ``validate_scenario`` once per scenario object: a pass is
-        cached as the geometry below is, a failure raises on every call."""
-        self._validated
-
-    @cached_property
-    def _validated(self) -> bool:
-        validate_scenario(self)
-        return True
-
     @cached_property
     def connection(self) -> torsion.TorsionConnection:
         """D = nabla^g + bbA; ``.base`` holds the Levi-Civita coefficients."""
@@ -228,16 +219,9 @@ def structural_checks(sc: SolitonScenario) -> list:
 
 def validate_scenario(sc: SolitonScenario) -> None:
     """Raise the error of the first of ``structural_checks`` that a sample
-    fails: a batch passes only if every sample does."""
-    checks = structural_checks(sc)
-    if geometry.failing(checks).any():
-        raise next(error for passed, error in checks if not passed.all())()
-
-
-def invalid_samples(sc: SolitonScenario) -> np.ndarray:
-    """Per sample, whether ``validate_scenario`` rejects it: the samples
-    that a batch must leave out to pass."""
-    return geometry.failing(structural_checks(sc))
+    fails, naming in its ``invalid_samples`` every sample that fails one: a
+    batch passes only if every sample does."""
+    geometry.raise_first(structural_checks(sc))
 
 
 def grad_phi(sc: SolitonScenario) -> np.ndarray:
@@ -421,7 +405,7 @@ def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport
     Raises NonFiniteResidual, naming the first equation in the order of
     ``norms``, when a residual or its norm overflows.
     """
-    sc.validate()
+    validate_scenario(sc)
     with np.errstate(**_OVERFLOW_QUIET):
         ein = einstein_residual(sc)
         ein_t = np.swapaxes(ein, -1, -2)

@@ -161,7 +161,8 @@ class TestCheck:
         assert doc["residuals"]["remark_identity"] == pytest.approx(0.0, abs=1e-12)
 
     def test_validates_once(self, tmp_path, monkeypatch, capsys):
-        # parse_scenario validates, and full_report reuses that pass
+        # check does not go through parse_scenario: it validates once, in
+        # full_report
         calls = []
         validate = residuals.validate_scenario
 
@@ -1232,7 +1233,7 @@ class TestManyFiles:
         assert code == 2 and err.count("error: ") == 1
         assert out == run_main(capsys, ["check", *valid, "--json"])[1]
         if bad == "invalid":
-            # the failed batch's own scenario finds its invalid file
+            # the failed batch's error names its invalid file
             assert got == [(len(paths), False), (1, False), (len(valid), True)]
             assert built == [len(paths), 1, len(valid)]
             return
@@ -1330,6 +1331,44 @@ class TestManyFiles:
         expected = run_main(capsys, ["check", *paths, "--json"])
         monkeypatch.setattr(cli, "CHECK_BLOCK", block)
         assert run_main(capsys, ["check", *paths, "--json"]) == expected
+
+
+class TestValidatedOnce:
+    """Every command validates each batch once, and a failed batch is not
+    validated again to find its invalid files."""
+
+    @pytest.mark.parametrize("command", ["check_one", "check_many", "sweep", "classify"])
+    def test_once_per_batch(self, tmp_path, capsys, monkeypatch, command):
+        calls = []  # the batch shape of each validated scenario
+        validate = residuals.validate_scenario
+        monkeypatch.setattr(residuals, "validate_scenario",
+                            lambda sc: calls.append(np.shape(sc.h)) or validate(sc))
+        _, kinds = many_file_documents(tmp_path)
+        valid = kinds["valid"]
+        argv, code, shape = {
+            "check_one": (["check", valid[0], "--json"], 0, ()),
+            "check_many": (["check", *valid, "--json"], 1, (len(valid),)),
+            "sweep": (["sweep", "--kappa", "1", "--points", "16"], 0, (16,)),
+            "classify": (["classify", valid[0]], 0, ()),
+        }[command]
+        assert run_main(capsys, argv)[0] == code
+        assert calls == [shape]
+
+    def test_failed_batch_not_validated_again(self, tmp_path, capsys, monkeypatch):
+        # the failed batch, the bad file alone and the rest: three passes of
+        # the checks, the bad file read from the failed batch's error
+        calls = []
+        checks = residuals.structural_checks
+        monkeypatch.setattr(residuals, "structural_checks",
+                            lambda sc: calls.append(np.size(sc.h)) or checks(sc))
+        _, kinds = many_file_documents(tmp_path)
+        valid = kinds["valid"]
+        bad = write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, kappa=-1.0), "bad.json")
+        paths = valid[:4] + [bad] + valid[4:]
+        code, out, err = run_main(capsys, ["check", *paths, "--json"])
+        assert calls == [len(paths), 1, len(valid)]
+        assert (code, err) == (2, f"error: {bad}: kappa = -1 must be positive\n")
+        assert out == run_main(capsys, ["check", *valid, "--json"])[1]
 
 
 class TestReportLayouts:

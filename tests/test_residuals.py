@@ -49,18 +49,6 @@ def skew_heisenberg_scenario(kappa=1.0):
 
 
 class TestValidation:
-    def test_validated_once_per_object(self, monkeypatch):
-        calls = []
-        validate = residuals.validate_scenario
-        monkeypatch.setattr(
-            residuals, "validate_scenario", lambda sc: calls.append(sc) or validate(sc)
-        )
-        sc = skew_heisenberg_scenario()
-        sc.validate()
-        residuals.full_report(sc)
-        residuals.full_report(sc)
-        assert calls == [sc]
-
     def test_failure_raises_on_every_call(self):
         sc = residuals.SolitonScenario(
             model=geometry.heisenberg(1.0), contorsion=torsion.skew(0.5), h=1.0, kappa=-1.0
@@ -68,13 +56,12 @@ class TestValidation:
         for _ in range(2):
             with pytest.raises(NonPositiveKappa):
                 residuals.full_report(sc)
-        with pytest.raises(NonPositiveKappa):
-            sc.validate()
 
     def test_invalid_samples_are_the_ones_rejected_alone(self):
-        # one sample per check, in the order of the checks: the mask marks
-        # the samples that validation rejects alone, and a batch raises the
-        # error of the first check that any of its samples fails
+        # one sample per check, in the order of the checks: the mask that the
+        # raised error carries marks the samples that validation rejects
+        # alone, and a batch raises the error of the first check that any of
+        # its samples fails
         good = skew_heisenberg_scenario()
         model, ct = good.model, good.contorsion
         rejected = {
@@ -94,16 +81,32 @@ class TestValidation:
             with pytest.raises(Het3Error) as got:
                 residuals.validate_scenario(sc)
             errors[name] = got.value
-            assert residuals.invalid_samples(sc)
-        assert not residuals.invalid_samples(good)
+            assert got.value.invalid_samples
+        residuals.validate_scenario(good)
         samples = dict(rejected, valid=good)
         names = list(rejected)
         for order in (names + ["valid"], ["valid"] + names[::-1], ["valid", "phi", "valid", "h"]):
             batch = residuals.SolitonScenario.stack([samples[name] for name in order])
-            assert residuals.invalid_samples(batch).tolist() == [name != "valid" for name in order]
-            first = min((name for name in order if name != "valid"), key=names.index)
-            with pytest.raises(type(errors[first]), match=f"^{re.escape(str(errors[first]))}$"):
+            first = errors[min((name for name in order if name != "valid"), key=names.index)]
+            with pytest.raises(type(first), match=f"^{re.escape(str(first))}$") as got:
                 residuals.validate_scenario(batch)
+            assert got.value.invalid_samples.tolist() == [name != "valid" for name in order]
+
+    def test_only_validation_errors_name_samples(self):
+        # geometry.validate's error carries the mask of the models it
+        # rejects; an error raised past validation carries none
+        models = geometry.StructureConstants(np.stack(
+            [geometry.heisenberg(1.0).c, np.ones((3, 3, 3)), geometry.heisenberg(2.0).c]))
+        with pytest.raises(Het3Error) as got:
+            geometry.validate(models)
+        assert got.value.invalid_samples.tolist() == [False, True, False]
+        sc = residuals.SolitonScenario(
+            model=geometry.hyperbolic_model(1e100), contorsion=torsion.skew(1e100),
+            h=1e100, kappa=1e100,
+        )
+        with pytest.raises(NonFiniteResidual) as got:
+            residuals.full_report(sc)
+        assert got.value.invalid_samples is None
 
     def test_rejects_beta(self):
         sc = residuals.SolitonScenario(
