@@ -3,7 +3,7 @@
     python3 scripts/check_many.py [--files 1000] [--repeats 5] [--seed 0]
 
 Run it from the root of a het3 checkout; it imports het3 from ``src/``.  It
-writes three corpora of --files scenario files each (the four families in
+writes four corpora of --files scenario files each (the four families in
 turn, kappa log-uniform in [1e-2, 1e2]) to a temporary directory:
 
 * ``exact``: every file an exact member.  Every file is valid, so each block
@@ -17,6 +17,10 @@ turn, kappa log-uniform in [1e-2, 1e2]) to a temporary directory:
 * ``invalid``: the exact documents with kappa = -1 at every tenth file, so
   that every batch raises and is split around many invalid files: each of
   them alone, and the rest as one batch.
+* ``overflow``: the exact documents with every tenth file a valid Heisenberg
+  document with lambda = 1e200, whose Ricci tensor overflows, so that every
+  batch passes validation, raises in its report and is split around those
+  files in the same way.
 
 For each corpus it times, in this one process:
 
@@ -80,6 +84,12 @@ def invalid(docs: list[dict]) -> list[dict]:
     return [dict(doc, kappa=-1.0) if n % 10 == 9 else doc for n, doc in enumerate(docs)]
 
 
+def overflow(docs: list[dict]) -> list[dict]:
+    """docs with the Heisenberg model of lambda = 1e200 at every tenth file."""
+    return [dict(doc, structure_constants=[[1, 2, 3, 1e200]]) if n % 10 == 9 else doc
+            for n, doc in enumerate(docs)]
+
+
 def write_files(directory: str, name: str, docs: list[dict]) -> list[str]:
     paths = []
     for n, doc in enumerate(docs):
@@ -134,7 +144,8 @@ def main() -> int:
     args = p.parse_args()
     rng = np.random.default_rng(args.seed)
     exact = documents(args.files, rng)
-    corpora = {"exact": exact, "screening": screening(exact, rng), "invalid": invalid(exact)}
+    corpora = {"exact": exact, "screening": screening(exact, rng), "invalid": invalid(exact),
+               "overflow": overflow(exact)}
     result = {"files": args.files, "repeats": args.repeats, "seed": args.seed}
     with tempfile.TemporaryDirectory() as directory:
         for name, docs in corpora.items():

@@ -36,9 +36,10 @@ files (2 over 1 over 0).  One path or many take the same path: a file that
 fails writes its error line, ``error: PATH: message`` with more than one
 path and ``error: message`` with one, and the others still get their
 reports.  Only a batch that raises is split, so that each bad file gets its
-own error: the files that its validation error names (``invalid_samples``)
-are checked alone and the rest again as one batch; any other error splits
-it in halves.  Text output computes neither identity.
+own error: the files that its error names (``invalid_samples``, set by
+every per-sample check, validation and overflow alike) are checked alone
+and the rest again as one batch; an error that names none (out of memory)
+names every file.  Text output computes neither identity.
 Every JSON document is written by json.dumps with indent=2 as a layout,
 its float and string leaves replaced by ``%s`` slots, filled by one walk
 over those leaves; a report reuses the layout of its shape (remark_identity
@@ -517,21 +518,19 @@ def _check_batch(sc, tol: float, as_json: bool) -> list:
 
 def _check_split(files: list, tol: float, as_json: bool) -> list:
     """(output text, exit code) per parsed document, or the error to report
-    for it: one batch, and only if that raises, parts of it in turn, down
-    to the documents whose own check raises.  The parts are each document
-    that the batch's error names in its ``invalid_samples`` alone and the
-    others as one batch, or, for an error that names none (a residual past
-    the float range, a batch not built), the two halves."""
+    for it: one batch, and only if that raises, each document that the
+    batch's error names in its ``invalid_samples`` alone and the others
+    again as one batch.  An error that names no document (a batch that
+    could not be built) names every one."""
     try:
         return _check_batch(_scenario(files), tol, as_json)
     except _ERRORS as exc:
         if len(files) == 1:
             return [exc]
         invalid = getattr(exc, "invalid_samples", None)
-    if invalid is not None:
-        parts = [[m] for m in np.flatnonzero(invalid)] + [np.flatnonzero(~invalid)]
-    else:
-        parts = np.array_split(np.arange(len(files)), 2)
+    if invalid is None:
+        invalid = np.ones(len(files), dtype=bool)
+    parts = [[m] for m in np.flatnonzero(invalid)] + [np.flatnonzero(~invalid)]
     results = [None] * len(files)
     for part in parts:
         if len(part):

@@ -13,10 +13,10 @@ Families:
 * BOUNDARY_VANISHING_TORSION -- the alpha = 0 limit at kappa s = -24 with
   D = nabla^g and h = sqrt(48/kappa).
 
-Each constructor checks its arguments, derives the family's parameters and
-returns through one tail, which checks that every derived value is finite
-(h = sqrt(-2 s) overflows at s = -1e308) before it builds any array, and
-builds the contorsion with ``torsion.reducible``, the one writer of the
+Each constructor checks its arguments in one ``errors.raise_first`` call,
+derives the family's parameters and returns through one tail, which checks
+that every derived value is finite (h = sqrt(-2 s) overflows at s = -1e308),
+and builds the contorsion with ``torsion.reducible``, the one writer of the
 normal form A = alpha g + gamma xi (x) xi.
 
 The constructors take arrays: kappa and s_g may carry a batch axis, the
@@ -24,7 +24,7 @@ parameters are derived elementwise (np.sqrt and + - * / round as math.sqrt
 and float arithmetic do, so every sample is bit for bit its own single
 construction), and the tail builds one batched SolitonScenario.  A single
 construction is the batch shape () case, with float parameters.  A check
-that fails names the first failing sample.
+that fails gives the value of the first sample that fails it.
 
 ``classify`` takes any batch shape too: one eigh over the batch, then each
 sample's kind from its Python floats.  A batch gives an array of kinds and a
@@ -51,6 +51,7 @@ from .errors import (
     NonPositiveKappa,
     OutOfWindow,
     ScenarioValidationError,
+    raise_first,
 )
 
 AXIS = np.array([0.0, 0.0, 1.0])
@@ -80,33 +81,16 @@ class ConstructedSoliton(NamedTuple):
     model_parameter: float | np.ndarray  # lambda for Heisenberg, a for hyperbolic
 
 
-def _first(values, bad) -> float:
-    """The first of ``values``, broadcast to the mask ``bad``, where it is set."""
-    return float(np.broadcast_to(values, np.shape(bad))[bad][0])
+def _finite(name: str, value) -> tuple:
+    """The check, for ``errors.raise_first``, that ``value`` is finite."""
+    return np.isfinite(value), lambda at: ScenarioValidationError(
+        f"{name} = {at(value):g} must be finite")
 
 
-def _require_finite(**values) -> np.ndarray:
-    """The values broadcast into one grid, a row per name, once every one is
-    finite.  Otherwise raise on the first non-finite value: in the first
-    sample that has one, the first name in argument order."""
-    grid = np.empty((len(values),) + np.broadcast(*values.values()).shape)
-    for n, value in enumerate(values.values()):
-        grid[n] = value
-    finite = np.isfinite(grid)
-    if not finite.all():
-        bad = ~finite.reshape(len(values), -1)
-        sample = bad.any(axis=0).argmax()
-        name = bad[:, sample].argmax()
-        value = grid.reshape(len(values), -1)[name, sample]
-        raise ScenarioValidationError(f"{list(values)[name]} = {value:g} must be finite")
-    return grid
-
-
-def _require_kappa(kappa) -> None:
-    _require_finite(kappa=kappa)
-    positive = np.greater(kappa, 0)
-    if not positive.all():
-        raise NonPositiveKappa(f"kappa = {_first(kappa, ~positive):g} must be positive")
+def _kappa_checks(kappa) -> list:
+    """The checks of a kappa argument, in order: finite, then positive."""
+    return [_finite("kappa", kappa), (np.greater(kappa, 0), lambda at: NonPositiveKappa(
+        f"kappa = {at(kappa):g} must be positive"))]
 
 
 def _constructed(
@@ -119,9 +103,14 @@ def _constructed(
     AXIS.  The values broadcast to one batch shape, and the scenario is one
     batch of it; for batch shape () they are floats.
     """
-    grid = _require_finite(alpha=alpha, gamma=gamma, h=h, s_g=scalar,
-                           model_parameter=model_parameter, kappa=kappa)
-    shape = grid.shape[1:]
+    values = {"alpha": alpha, "gamma": gamma, "h": h, "s_g": scalar,
+              "model_parameter": model_parameter, "kappa": kappa}
+    shape = np.broadcast(*values.values()).shape
+    grid = np.empty((len(values),) + shape)  # the values broadcast, a row per name
+    for n, value in enumerate(values.values()):
+        grid[n] = value
+    if not np.isfinite(grid).all():  # one reduction; row by row only on failure
+        raise_first([_finite(name, row) for name, row in zip(values, grid)])
     alpha, gamma, h, scalar, model_parameter, kappa = grid if shape else grid.tolist()
     sc = residuals.SolitonScenario(
         model=model(model_parameter), contorsion=torsion.reducible(alpha, gamma, AXIS),
@@ -137,11 +126,8 @@ def construct_generic_reducible(kappa, scalar, sign: int = +1) -> ConstructedSol
     gamma = sign/sqrt(kappa) - 2 alpha from kappa (2 alpha + gamma)^2 = 1.
     kappa and s_g may be arrays; sign is one root for the whole batch.
     """
-    _require_kappa(kappa)
-    _require_finite(s_g=scalar)
-    negative = np.less(scalar, 0)
-    if not negative.all():
-        raise NonNegativeScalar(f"s_g = {_first(scalar, ~negative):g} must be negative")
+    raise_first(_kappa_checks(kappa) + [_finite("s_g", scalar), (np.less(scalar, 0), lambda at:
+                NonNegativeScalar(f"s_g = {at(scalar):g} must be negative"))])
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     scalar = np.asarray(scalar, dtype=float)
@@ -152,19 +138,16 @@ def construct_generic_reducible(kappa, scalar, sign: int = +1) -> ConstructedSol
     built = _constructed(HEISENBERG_GENERIC, geometry.heisenberg, 2.0 * alpha,
                          alpha=alpha, gamma=gamma, h=h, scalar=scalar, kappa=kappa)
     # the rule a report applies to decide whether the torsion is skew
-    skew = built.scenario.contorsion.is_pure_skew_torsion()
-    if skew.any():
-        raise DegeneratesToSkew(
-            f"gamma = {_first(built.gamma, skew):g}: the torsion is purely skew within "
-            f"SKEW_TOL = {torsion.SKEW_TOL:g}, use the skew Heisenberg constructor"
-        )
+    raise_first([(~built.scenario.contorsion.is_pure_skew_torsion(), lambda at: DegeneratesToSkew(
+        f"gamma = {at(built.gamma):g}: the torsion is purely skew within "
+        f"SKEW_TOL = {torsion.SKEW_TOL:g}, use the skew Heisenberg constructor"))])
     return built
 
 
 def construct_skew_heisenberg(kappa) -> ConstructedSoliton:
     """The unique skew-torsion Heisenberg soliton: 4 kappa alpha^2 = 1.
     kappa may be an array."""
-    _require_kappa(kappa)
+    raise_first(_kappa_checks(kappa))
     with np.errstate(over="ignore"):
         alpha = 0.5 / np.sqrt(kappa)
         h = 1.0 / np.sqrt(kappa)
@@ -183,8 +166,15 @@ def in_window(kappa_scalar) -> np.ndarray:
 
 
 def _kappa_scalar(kappa, scalar) -> np.ndarray:
-    with np.errstate(over="ignore"):  # an overflow to -inf lies outside the window
+    # quietly: an overflow to -inf, or the NaN of inf * 0, lies outside the window
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.multiply(kappa, scalar)
+
+
+def _window_low(kappa: float) -> float:
+    """-24/kappa, the window's lower end in s_g, quietly: an inf or NaN fails its check."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(np.divide(WINDOW[0], kappa))
 
 
 def scalar_window(kappa: float) -> tuple[float, float]:
@@ -192,10 +182,8 @@ def scalar_window(kappa: float) -> tuple[float, float]:
 
     Raises when -24/kappa overflows (kappa below about 1.3e-307).
     """
-    _require_kappa(kappa)
-    with np.errstate(over="ignore"):  # an overflow to -inf fails the check
-        low = WINDOW[0] / kappa
-    _require_finite(**{"-24/kappa": low})
+    low = _window_low(kappa)
+    raise_first(_kappa_checks(kappa) + [_finite("-24/kappa", low)])
     return (low, WINDOW[1])
 
 
@@ -206,11 +194,9 @@ def construct_hyperbolic_skew(kappa, scalar) -> ConstructedSoliton:
     kappa (h^2 + 12 alpha^2)^2 = 48 h^2 on the positive square-root branch.
     kappa and s_g may be arrays; every sample must lie in the window.
     """
-    _require_kappa(kappa)
     kappa_scalar = _kappa_scalar(kappa, scalar)
-    inside = in_window(kappa_scalar)
-    if not inside.all():
-        raise OutOfWindow(_first(kappa_scalar, ~inside), WINDOW, _first(kappa, ~inside))
+    raise_first(_kappa_checks(kappa) + [(in_window(kappa_scalar), lambda at: OutOfWindow(
+        at(kappa_scalar), WINDOW, at(kappa)))])
     scalar = np.asarray(scalar, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.sqrt(-scalar / 6.0)
@@ -237,7 +223,7 @@ def construct_hyperbolic_skew(kappa, scalar) -> ConstructedSoliton:
 def boundary_vanishing_torsion(kappa) -> ConstructedSoliton:
     """The alpha = 0 boundary soliton: hyperbolic with kappa s_g = -24.
     kappa may be an array."""
-    _require_kappa(kappa)
+    raise_first(_kappa_checks(kappa))
     with np.errstate(over="ignore"):
         scalar = WINDOW[0] / np.asarray(kappa, dtype=float)
         a = np.sqrt(4.0 / kappa)
@@ -355,7 +341,7 @@ def _sweep_rows(kappa: float, scalars, tol: float) -> list[SweepRow]:
 
 def sweep_row(kappa: float, scalar: float, tol: float = residuals.DEFAULT_TOL) -> SweepRow:
     """Evaluate a single hyperbolic-skew sample, marking out-of-window values."""
-    _require_kappa(kappa)
+    raise_first(_kappa_checks(kappa))
     return _sweep_rows(kappa, [scalar], tol)[0]
 
 
@@ -376,12 +362,12 @@ def sweep_window(
         samples = low + np.arange(1, n_points + 1) * step
     else:
         # the window's lower end, -24/kappa, only when s_min is not given
-        _require_kappa(kappa)
-        lo = scalar_window(kappa)[0] if s_min is None else s_min
+        lo, name = (_window_low(kappa), "-24/kappa") if s_min is None else (s_min, "s_min")
         hi = WINDOW[1] if s_max is None else s_max
-        _require_finite(s_min=lo, s_max=hi)
-        with np.errstate(over="ignore"):  # an overflow to inf fails the check
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the check
             step = (hi - lo) / (n_points - 1)
-        _require_finite(**{"(s_max - s_min)/(points - 1)": step})
+        raise_first(_kappa_checks(kappa) + [
+            _finite(name, lo), _finite("s_max", hi),
+            _finite("(s_max - s_min)/(points - 1)", step)])
         samples = np.linspace(lo, hi, n_points)
     return _sweep_rows(kappa, samples, tol)

@@ -1,14 +1,41 @@
-"""Exception hierarchy for the het3 engine."""
+"""Exception hierarchy for the het3 engine, and its one first-failure rule."""
 
+import functools
 import math
+import operator
+
+import numpy as np
 
 
 class Het3Error(Exception):
-    """Base class for all engine errors.  A validation error
-    (``geometry.raise_first``) sets ``invalid_samples``, per sample whether
-    it fails a check; every other error leaves it None."""
+    """Base class for all engine errors.  An error of a per-sample check
+    (``raise_first``) sets ``invalid_samples``, the samples that fail a check
+    of its call; an error of a whole argument (a sign, a count) leaves None."""
 
     invalid_samples = None
+
+
+def every(masks) -> np.ndarray:
+    """The samples that are True in every one of masks, which broadcast."""
+    return functools.reduce(operator.and_, masks)
+
+
+def raise_first(checks: list) -> None:
+    """Raise the error of the first of checks that any sample fails.
+
+    A check is (passed, error): per sample whether it passes (numpy bools,
+    which broadcast), and a function of ``at`` that makes the error, where
+    at(values) is values at the first sample failing the check, as a float.
+    The error's ``invalid_samples`` marks the samples failing any of checks.
+    One reduction when all pass, none for one sample (np.True_ is a numpy
+    singleton), and a slow truth test per check only on failure.
+    """
+    passed = every(passed for passed, _ in checks)
+    if passed is not np.True_ and not passed.all():
+        bad, error = next((~check, error) for check, error in checks if not check.all())
+        exc = error(lambda values: float(np.broadcast_to(values, bad.shape)[bad][0]))
+        exc.invalid_samples = ~passed
+        raise exc
 
 
 class AntisymmetryViolation(Het3Error):

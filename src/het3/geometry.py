@@ -30,13 +30,12 @@ connection coefficients (..., 3, 3, 3), endomorphism components
 
 from __future__ import annotations
 
-import functools
-import operator
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AntisymmetryViolation, JacobiViolation, TraceMismatch
+from .errors import AntisymmetryViolation, JacobiViolation, TraceMismatch, raise_first
 from .frame import _P, _Q, EPS, IDENTITY, CurvatureOperator, star_matrix
 
 STRUCT_TOL = 1e-12
@@ -113,10 +112,10 @@ def jacobi_defect(sc: StructureConstants) -> np.ndarray:
 
 
 def model_checks(sc: StructureConstants) -> list:
-    """The checks of ``validate``, in order: per check, whether each model
-    passes it (a bool per model), and the error that it raises, which gives
-    the worst deviation over the batch.  A NaN deviation fails, and a
-    Jacobi sum that overflows is named as such."""
+    """The checks of ``validate``, in order, as ``errors.raise_first`` reads
+    them: per check, whether each model passes it, and its error, which
+    gives the deviation of the first model that fails it.  A NaN deviation
+    fails, and a Jacobi sum that overflows is named as such."""
     c = sc.c
     # each deviation reduced once per model, quietly: an overflow or a NaN
     # fails its check
@@ -125,28 +124,12 @@ def model_checks(sc: StructureConstants) -> list:
         defect = jacobi_defect(sc)
     return [
         (anti <= STRUCT_TOL,
-         lambda: AntisymmetryViolation(f"c_ijk + c_jik deviates by {np.max(anti):g}")),
-        (defect <= STRUCT_TOL, lambda: JacobiViolation(
+         lambda at: AntisymmetryViolation(f"c_ijk + c_jik deviates by {at(anti):g}")),
+        (defect <= STRUCT_TOL, lambda at: JacobiViolation(
             "structure constants overflow the float range in the Jacobi sums"
-            if not np.isfinite(defect).all() else
-            f"Jacobi identity violated by {np.max(defect):g}")),
+            if not math.isfinite(at(defect)) else
+            f"Jacobi identity violated by {at(defect):g}")),
     ]
-
-
-def every(masks) -> np.ndarray:
-    """The samples that are True in every one of masks, which broadcast."""
-    return functools.reduce(operator.and_, masks)
-
-
-def raise_first(checks: list) -> None:
-    """Raise the error of the first of checks, (passed, error) pairs, that a
-    sample fails, its ``invalid_samples`` the samples that fail any: one
-    reduction, and a truth test per check (slow on numpy bools) on failure."""
-    invalid = ~every(passed for passed, _ in checks)
-    if invalid.any():
-        error = next(error for passed, error in checks if not passed.all())()
-        error.invalid_samples = invalid
-        raise error
 
 
 def validate(sc: StructureConstants) -> None:

@@ -57,9 +57,12 @@ Every factor of eps is +-1 or 0, so Y sums the products of the
 expand-and-trace evaluation in another order only.
 
 A residual that overflows the float range fails the report with
-NonFiniteResidual, naming the first equation that is not finite, instead of
-turning into a verdict.  The scenario checks its own Ricci tensor likewise,
-once, where it computes it: the residuals, identities and classify share it.
+NonFiniteResidual (``errors.raise_first``), not a verdict: it names the
+first equation that a sample fails, and in ``invalid_samples`` each sample
+whose norm is not finite.  The scenario checks its Ricci tensor likewise,
+once, where it computes it (residuals, identities and classify share it),
+and a report each identity where it computes it, at skew samples only for
+the remark identity.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ from .errors import (
     NonPositiveKappa,
     NotSkewTorsion,
     ScenarioValidationError,
+    every,
+    raise_first,
 )
 from .frame import (
     _P,
@@ -135,7 +140,7 @@ class SolitonScenario:
         conn = self.connection
         with np.errstate(**_OVERFLOW_QUIET):
             pair = geometry.curvature_pair(self.model, conn.base, conn.total)
-        _finite("Ricci tensor", pair[0].ricci)
+        raise_first([_overflow("Ricci tensor", np.isfinite(pair[0].ricci).all(axis=(-2, -1)))])
         return pair
 
     @cached_property
@@ -176,11 +181,11 @@ class SolitonScenario:
 
 
 def structural_checks(sc: SolitonScenario) -> list:
-    """The checks of ``validate_scenario``, in order: finite inputs, model
-    validity (``geometry.model_checks``), kappa > 0, h > 0, beta = 0 up to
-    torsion.SKEW_TOL and phi closed up to VALIDATE_TOL.  Per check: whether
-    each sample passes it (a bool per sample), and the error that it raises
-    for the batch."""
+    """The checks of ``validate_scenario``, in order, as
+    ``errors.raise_first`` reads them: finite inputs, model validity
+    (``geometry.model_checks``), kappa > 0, h > 0, beta = 0 up to
+    torsion.SKEW_TOL and phi closed up to VALIDATE_TOL.  The finite check
+    is one check per input in the order of ``inputs``, folded into one."""
     inputs = {
         "structure constants": sc.model.c,
         "contorsion": sc.contorsion.a,
@@ -190,8 +195,8 @@ def structural_checks(sc: SolitonScenario) -> list:
     }
     # one reduction over every input, and per sample only when it fails
     finite = np.isfinite(np.concatenate([np.ravel(value) for value in inputs.values()])).all() or (
-        geometry.every(np.isfinite(value).all(axis=tuple(range(-core, 0)))
-                       for value, core in zip(inputs.values(), (3, 2, 0, 0, 1))))
+        every(np.isfinite(value).all(axis=tuple(range(-core, 0)))
+              for value, core in zip(inputs.values(), (3, 2, 0, 0, 1))))
     # the bound of Contorsion.is_pure_skew_torsion, which then ignores zeta;
     # quietly, as every check reads inputs that may not be finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,21 +204,21 @@ def structural_checks(sc: SolitonScenario) -> list:
         # closedness of a frame-constant 1-form: phi([e_i, e_j]) = 0
         dphi = np.abs(np.einsum("...ijk,...k->...ij", sc.model.c, sc.phi)).max(axis=(-2, -1))
     return [
-        (finite, lambda: ScenarioValidationError(
+        (finite, lambda at: ScenarioValidationError(
             f"{next(name for name, value in inputs.items() if not np.isfinite(value).all())} "
             "must be finite (no NaN or inf)")),
         *geometry.model_checks(sc.model),
         (np.greater(sc.kappa, 0),
-         lambda: NonPositiveKappa(f"kappa = {np.min(sc.kappa):g} must be positive")),
+         lambda at: NonPositiveKappa(f"kappa = {at(sc.kappa):g} must be positive")),
         (np.greater(sc.h, 0),
-         lambda: ScenarioValidationError(f"h = {np.min(sc.h):g} must be positive")),
+         lambda at: ScenarioValidationError(f"h = {at(sc.h):g} must be positive")),
         # these two fail only a value past their bound: a NaN, which
         # opposite overflows in the sums of d phi can give, passes
-        (~(zeta > torsion.SKEW_TOL), lambda: ScenarioValidationError(
+        (~(zeta > torsion.SKEW_TOL), lambda at: ScenarioValidationError(
             "contorsion has a skew component (beta != 0 along the axis), "
             "excluded on compact models since delta xi = 2 beta")),
         (~(dphi > VALIDATE_TOL),
-         lambda: ScenarioValidationError("phi is not closed: phi([e_i,e_j]) != 0")),
+         lambda at: ScenarioValidationError("phi is not closed: phi([e_i,e_j]) != 0")),
     ]
 
 
@@ -221,7 +226,7 @@ def validate_scenario(sc: SolitonScenario) -> None:
     """Raise the error of the first of ``structural_checks`` that a sample
     fails, naming in its ``invalid_samples`` every sample that fails one: a
     batch passes only if every sample does."""
-    geometry.raise_first(structural_checks(sc))
+    raise_first(structural_checks(sc))
 
 
 def grad_phi(sc: SolitonScenario) -> np.ndarray:
@@ -270,8 +275,8 @@ def _alpha_ric0(sc: SolitonScenario) -> tuple[np.ndarray, np.ndarray]:
 
 def _skew_alpha_ric0(sc: SolitonScenario) -> tuple[np.ndarray, np.ndarray]:
     """alpha and Ric_0 of a scenario with contorsion alpha g in every sample."""
-    if not sc.contorsion.is_pure_skew_torsion().all():
-        raise NotSkewTorsion("contorsion is not of the form alpha * g")
+    raise_first([(sc.contorsion.is_pure_skew_torsion(),
+                  lambda at: NotSkewTorsion("contorsion is not of the form alpha * g"))])
     return _alpha_ric0(sc)
 
 
@@ -346,13 +351,11 @@ def _remark(sc: SolitonScenario, alpha: np.ndarray, ric0: np.ndarray) -> np.ndar
     )
 
 
-def _finite(what: str, value: np.ndarray) -> np.ndarray:
-    """``value``, once every entry is finite; otherwise NonFiniteResidual."""
-    if not np.isfinite(value).all():
-        raise NonFiniteResidual(
-            f"the {what} is not finite: the scenario overflows the float range"
-        )
-    return value
+def _overflow(what: str, finite) -> tuple:
+    """The check, for ``errors.raise_first``, that ``what`` is finite: per
+    sample, ``finite``; its error is NonFiniteResidual."""
+    return finite, lambda at: NonFiniteResidual(
+        f"the {what} is not finite: the scenario overflows the float range")
 
 
 class ResidualReport:
@@ -380,7 +383,9 @@ class ResidualReport:
     def trace_identity(self) -> np.ndarray:
         """``trace_identity_residual`` of the scenario."""
         with np.errstate(**_OVERFLOW_QUIET):
-            return _finite("trace identity residual", trace_identity_residual(self.scenario))
+            trace = trace_identity_residual(self.scenario)
+        raise_first([_overflow("trace identity residual", np.isfinite(trace))])
+        return trace
 
     @cached_property
     def remark_identity(self) -> np.ndarray | None:
@@ -388,15 +393,13 @@ class ResidualReport:
         when no sample has it, and NaN at the samples of a batch without it.
         Only the skew samples are checked finite."""
         skew = self.scenario.contorsion.is_pure_skew_torsion()
-        every = skew.all()
-        if not every and not skew.any():
+        if not skew.any():
             return None
         with np.errstate(**_OVERFLOW_QUIET):
             remark = _remark(self.scenario, *_alpha_ric0(self.scenario))
-        if every:
-            return _finite("remark identity residual", remark)
-        _finite("remark identity residual", remark[skew])
-        return np.where(skew, remark, np.nan)
+        raise_first([_overflow("remark identity residual", np.isfinite(remark) | ~skew)])
+        # [()]: a numpy float, not a 0-d array, for a single scenario
+        return np.where(skew, remark, np.nan)[()]
 
 
 def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -423,8 +426,8 @@ def full_report(sc: SolitonScenario, tol: float = DEFAULT_TOL) -> ResidualReport
         }
     worst = np.maximum.reduce(list(norms.values()))
     if not np.isfinite(worst).all():
-        for name, norm in norms.items():
-            _finite(f"{name} residual", norm)
+        raise_first([_overflow(f"{name} residual", np.isfinite(norm))
+                     for name, norm in norms.items()])
     # a str for a single scenario, which then builds no string array
     verdict = (np.where(worst <= tol, "SOLUTION", "NOT_SOLUTION") if worst.ndim
                else "SOLUTION" if worst <= tol else "NOT_SOLUTION")

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .errors import NonUnitAxis
+from .errors import NonUnitAxis, raise_first
 from .frame import (
     _P,
     _Q,
@@ -97,9 +97,8 @@ class ReducibleTorsionParams:
         with np.errstate(over="ignore"):
             norm_sq = dot(xi, xi)
         # a NaN axis passes here, and its NaN contorsion fails validation
-        off = abs(norm_sq - 1.0) > UNIT_TOL
-        if off.any():
-            raise NonUnitAxis(f"|xi|^2 = {np.asarray(norm_sq)[off][0]:g}")
+        raise_first([(~(abs(norm_sq - 1.0) > UNIT_TOL),
+                      lambda at: NonUnitAxis(f"|xi|^2 = {at(norm_sq):g}"))])
 
 
 def build_reducible(params: ReducibleTorsionParams) -> Contorsion:

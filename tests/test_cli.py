@@ -1202,11 +1202,12 @@ class TestManyFiles:
         assert calls == [(len(valid),)]
         capsys.readouterr()
 
-    @pytest.mark.parametrize("bad", ["invalid", "ricci_overflow"])
+    @pytest.mark.parametrize("bad", ["invalid", "ricci_overflow", "phi_overflow"])
     def test_split_around_a_bad_file(self, tmp_path, capsys, monkeypatch, bad):
-        # only a batch that raises is split: a file that fails validation is
-        # checked alone and the others as one batch; a file whose residual
-        # overflows, which passes validation, in halves until it is alone
+        # only a batch that raises is split: the file that its error names,
+        # which fails validation, has a Ricci tensor past the float range or,
+        # with --json, a trace identity past it, is checked alone and the
+        # others as one batch
         calls = []  # (files, whether the batch passed) per full_report call
         full_report = residuals.full_report
 
@@ -1232,17 +1233,10 @@ class TestManyFiles:
         got, built = list(calls), list(sizes)
         assert code == 2 and err.count("error: ") == 1
         assert out == run_main(capsys, ["check", *valid, "--json"])[1]
-        if bad == "invalid":
-            # the failed batch's error names its invalid file
-            assert got == [(len(paths), False), (1, False), (len(valid), True)]
-            assert built == [len(paths), 1, len(valid)]
-            return
-        # N files: at most one failed and one passed batch per halving
-        levels = math.ceil(math.log2(len(paths))) + 1
-        failed = [size for size, passed in got if not passed]
-        passed = [size for size, passed in got if passed]
-        assert failed[0] == len(paths) and failed[-1] == 1 and len(failed) <= levels
-        assert sum(passed) == len(valid) and len(passed) <= levels
+        # the trace identity is computed from a report that passed
+        reported = bad == "phi_overflow"
+        assert got == [(len(paths), reported), (1, reported), (len(valid), True)]
+        assert built == [len(paths), 1, len(valid)]
 
     def test_scenario_rows_are_each_documents_own(self):
         # normal forms and given grids in one batch, and each alone: every
@@ -1299,15 +1293,18 @@ class TestManyFiles:
             2, "", f"error: the trace identity residual {overflow}\n")
 
     def test_batch_that_cannot_be_built(self, tmp_path, capsys, monkeypatch):
-        # a batch whose scenario cannot be built is split in halves, down to
-        # the file whose own build fails: that file alone gets the error line
+        # an error that names no file, a batch whose scenario cannot be
+        # built, names every file: each is checked alone, and only the file
+        # whose own build fails gets the error line
         _, kinds = many_file_documents(tmp_path)
         valid = kinds["valid"]
         expected = run_main(capsys, ["check", *valid, "--json"])[1]
         bad = write_doc(tmp_path, dict(SKEW_HEISENBERG_DOC, h=0.75), "bad.json")
         scenario = cli._scenario
+        sizes = []  # files per scenario built
 
         def short_of_memory(files):
+            sizes.append(len(files))
             if any(f[2] == 0.75 for f in files):
                 raise MemoryError
             return scenario(files)
@@ -1316,6 +1313,7 @@ class TestManyFiles:
         paths = valid[:5] + [bad] + valid[5:]
         assert run_main(capsys, ["check", *paths, "--json"]) == (
             2, expected, f"error: {bad}: out of memory\n")
+        assert sizes == [len(paths)] + [1] * len(paths)
 
     def test_unreadable_stdout_once(self, tmp_path, monkeypatch, capsys):
         # the reports of a batch are one write: one error line if it fails

@@ -464,6 +464,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             constructors.sweep_window(1.0, 1)
 
+    @pytest.mark.parametrize("bounds", [{}, {"s_max": -1.0}, {"s_min": -10.0, "s_max": -1.0}],
+                             ids=["window", "s_max", "both"])
+    def test_kappa_checked_once_per_call(self, monkeypatch, bounds):
+        # once by the sweep, with its bounds, and once by the constructor of
+        # its one block
+        calls = []
+        kappa_checks = constructors._kappa_checks
+        monkeypatch.setattr(constructors, "_kappa_checks",
+                            lambda kappa: calls.append(kappa) or kappa_checks(kappa))
+        assert len(constructors.sweep_window(2.0, 4, **bounds)) == 4
+        assert calls == [2.0, 2.0]
+
 
 class TestCorpusProperties:
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
@@ -674,9 +686,15 @@ class TestBatchConstruction:
             constructors.construct_generic_reducible(1.0, np.array([-2.0, -0.5]))
         with pytest.raises(ScenarioValidationError, match=r"^s_g = -inf must be finite$"):
             constructors.construct_skew_heisenberg(np.array([1.0, 1e-320, 1e-300]))
-        # the first sample with a non-finite value, and its first such name,
-        # as a construction one sample at a time would report it
-        with pytest.raises(ScenarioValidationError, match=r"^h = inf must be finite$"):
-            constructors._require_finite(
-                alpha=np.array([1.0, 1.0, np.inf]), h=np.array([1.0, np.inf, 1.0])
-            )
+        # two kinds of bad samples in one batch: the error of the first
+        # check that any sample fails, with the value at its first failing
+        # sample, and every sample that fails a check named
+        with pytest.raises(NonPositiveKappa, match=r"^kappa = -1 must be positive$") as got:
+            constructors.construct_generic_reducible(
+                np.array([1.0, 2.0, -1.0, -3.0]), np.array([-1.0, 0.0, -1.0, 1.0]))
+        assert got.value.invalid_samples.tolist() == [False, True, True, True]
+        # derived values: at kappa = 1e-308 s_g = -24/kappa and h overflow,
+        # at 5e-324 also a; h is the first name that a sample fails
+        with pytest.raises(ScenarioValidationError, match=r"^h = inf must be finite$") as got:
+            constructors.boundary_vanishing_torsion(np.array([1.0, 1e-308, 5e-324, 2.0]))
+        assert got.value.invalid_samples.tolist() == [False, True, True, False]

@@ -82,16 +82,18 @@ class TestValidate:
 
 
 def checks_in_turn(model):
-    """Reference: the antisymmetry check, then the Jacobi check, which names
-    a defect that is not finite as an overflow."""
-    anti = np.abs(model.c + model.c.swapaxes(-3, -2)).max()
-    if not anti <= geometry.STRUCT_TOL:
-        raise AntisymmetryViolation(f"c_ijk + c_jik deviates by {anti:g}")
-    defect = geometry.jacobi_defect(model).max()
-    if not np.isfinite(defect):
-        raise JacobiViolation("structure constants overflow the float range in the Jacobi sums")
-    if not defect <= geometry.STRUCT_TOL:
-        raise JacobiViolation(f"Jacobi identity violated by {defect:g}")
+    """Reference: the antisymmetry check, then the Jacobi check, each over
+    the models in order, naming the first model that fails it; the Jacobi
+    check names a defect that is not finite as an overflow."""
+    anti = np.abs(model.c + model.c.swapaxes(-3, -2)).max(axis=(-3, -2, -1)).ravel()
+    for value in anti:
+        if not value <= geometry.STRUCT_TOL:
+            raise AntisymmetryViolation(f"c_ijk + c_jik deviates by {value:g}")
+    for defect in geometry.jacobi_defect(model).ravel():
+        if not np.isfinite(defect):
+            raise JacobiViolation("structure constants overflow the float range in the Jacobi sums")
+        if not defect <= geometry.STRUCT_TOL:
+            raise JacobiViolation(f"Jacobi identity violated by {defect:g}")
 
 
 def outcome(check, model):

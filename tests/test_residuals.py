@@ -92,22 +92,6 @@ class TestValidation:
                 residuals.validate_scenario(batch)
             assert got.value.invalid_samples.tolist() == [name != "valid" for name in order]
 
-    def test_only_validation_errors_name_samples(self):
-        # geometry.validate's error carries the mask of the models it
-        # rejects; an error raised past validation carries none
-        models = geometry.StructureConstants(np.stack(
-            [geometry.heisenberg(1.0).c, np.ones((3, 3, 3)), geometry.heisenberg(2.0).c]))
-        with pytest.raises(Het3Error) as got:
-            geometry.validate(models)
-        assert got.value.invalid_samples.tolist() == [False, True, False]
-        sc = residuals.SolitonScenario(
-            model=geometry.hyperbolic_model(1e100), contorsion=torsion.skew(1e100),
-            h=1e100, kappa=1e100,
-        )
-        with pytest.raises(NonFiniteResidual) as got:
-            residuals.full_report(sc)
-        assert got.value.invalid_samples is None
-
     def test_rejects_beta(self):
         sc = residuals.SolitonScenario(
             model=geometry.heisenberg(1.0),
@@ -584,6 +568,49 @@ class TestFullReport:
         )
         with pytest.raises(NonFiniteResidual, match="the einstein residual"):
             residuals.full_report(sc)
+
+    def test_overflow_errors_name_their_samples(self):
+        # a NonFiniteResidual names exactly the samples that fail a check of
+        # the call that raised it: the Ricci tensor where the scenario
+        # computes it, then the norms of the report, all in one call
+        good = skew_heisenberg_scenario()
+        ricci = residuals.SolitonScenario(geometry.heisenberg(1e200), torsion.skew(0.5), 1.0, 1.0)
+        einstein = residuals.SolitonScenario(
+            model=geometry.hyperbolic_model(1e100), contorsion=torsion.skew(1e100),
+            h=1e100, kappa=1e100,
+        )
+        for samples, message, named in (
+            ([good, einstein, good, ricci], "the Ricci tensor", [False, False, False, True]),
+            ([einstein, good, einstein], "the einstein residual", [True, False, True]),
+        ):
+            with pytest.raises(NonFiniteResidual, match=f"^{message} is not finite") as got:
+                residuals.full_report(residuals.SolitonScenario.stack(samples))
+            assert got.value.invalid_samples.tolist() == named
+
+    def test_remark_overflow_names_skew_samples_only(self):
+        # phi = 1e154 takes 2|phi|^2 past the float range in both identities;
+        # the remark identity is checked at the skew samples only, so its
+        # error names the skew one, and the trace identity's names both
+        phi = [1e154, 0.0, 0.0]
+        reducible = torsion.reducible(0.5, 0.1, AXIS)
+        samples = [
+            residuals.SolitonScenario(geometry.heisenberg(1.0), reducible, 1.0, 1.0, phi=phi),
+            skew_heisenberg_scenario(),
+            residuals.SolitonScenario(geometry.heisenberg(1.0), torsion.skew(0.5), 1.0, 1.0,
+                                      phi=phi),
+            residuals.SolitonScenario(geometry.heisenberg(1.0), reducible, 1.0, 1.0),
+        ]
+        report = residuals.full_report(residuals.SolitonScenario.stack(samples))
+        with pytest.raises(NonFiniteResidual, match="^the remark identity residual") as got:
+            report.remark_identity
+        assert got.value.invalid_samples.tolist() == [False, False, True, False]
+        with pytest.raises(NonFiniteResidual, match="^the trace identity residual") as got:
+            report.trace_identity
+        assert got.value.invalid_samples.tolist() == [True, False, True, False]
+        # without the overflowing skew sample: NaN at the samples without skew torsion
+        remark = residuals.full_report(residuals.SolitonScenario.stack(
+            [samples[n] for n in (0, 1, 3)])).remark_identity
+        assert np.isnan(remark[[0, 2]]).all() and np.isfinite(remark[1])
 
     @pytest.mark.parametrize("read", [constructors.classify, residuals.full_report],
                              ids=["classify", "full_report"])
