@@ -312,14 +312,16 @@ def _contorsion(forms: tuple) -> torsion.Contorsion:
     """The contorsion of the documents as one batch of shape (N,), in their
     order: the checked normal forms through one torsion.reducible, without
     checking their axes again, and each grid given as rows as it is.  One
-    document is the N = 1 case, returned at batch shape ()."""
+    document is the N = 1 case, built at batch shape () by ``_scenario``'s
+    column rule."""
+    stack = np.array if len(forms) > 1 else operator.itemgetter(0)
     normal = [form for form in forms if type(form) is not list]
     if normal:
-        built = iter(torsion.reducible(np.array([p.alpha for p in normal]),
-                                       np.array([p.gamma for p in normal]),
-                                       np.array([p.xi for p in normal])).a)
-    a = np.array([form if type(form) is list else next(built) for form in forms])
-    return torsion.Contorsion(a if len(forms) > 1 else a[0])
+        a = torsion.reducible(stack([p.alpha for p in normal]), stack([p.gamma for p in normal]),
+                              stack([p.xi for p in normal])).a
+        built = iter(a if a.ndim > 2 else [a])  # one grid per normal form
+    return torsion.Contorsion(stack([form if type(form) is list else next(built)
+                                     for form in forms]))
 
 
 def parse_scenario(doc: dict) -> residuals.SolitonScenario:
@@ -628,10 +630,9 @@ def cmd_sweep(args) -> int:
     rows = constructors.sweep_window(
         args.kappa, args.points, s_min=args.s_min, s_max=args.s_max, tol=tol
     )
-    # one template for the whole sweep, filled by one % from the flat fields
-    template = "".join(_SWEEP_OUT if row.alpha is None else _SWEEP_ROW for row in rows)
-    fields = tuple(value for row in rows for value in row if value is not None)
-    write_output(args.csv, "s_g,kappa_s_g,alpha,h,residual_norm,verdict\n" + template % fields)
+    lines = [_SWEEP_OUT % (row.scalar, row.kappa_scalar, row.verdict) if row.alpha is None
+             else _SWEEP_ROW % row for row in rows]
+    write_output(args.csv, "s_g,kappa_s_g,alpha,h,residual_norm,verdict\n" + "".join(lines))
     return EXIT_SOLUTION
 
 

@@ -33,8 +33,10 @@ HEISENBERG_TYPE; a single scenario gives a str kind and an axis or None.
 
 The hyperbolic window -24 < kappa s_g < 0 is one predicate, ``in_window``:
 ``construct_hyperbolic_skew`` raises OutOfWindow on any sample outside it,
-and a sweep uses it to mark OUT_OF_WINDOW rows and to pass only the
-in-window samples of each SWEEP_BLOCK to one constructor call.
+and a sweep uses it to mark OUT_OF_WINDOW rows.  A sweep checks kappa and
+the window once, for all its samples, and passes the in-window samples of
+each SWEEP_BLOCK, with their kappa s_g, unchecked to ``_hyperbolic``: the
+derivation that ``construct_hyperbolic_skew`` runs after its own checks.
 """
 
 from __future__ import annotations
@@ -197,6 +199,13 @@ def construct_hyperbolic_skew(kappa, scalar) -> ConstructedSoliton:
     kappa_scalar = _kappa_scalar(kappa, scalar)
     raise_first(_kappa_checks(kappa) + [(in_window(kappa_scalar), lambda at: OutOfWindow(
         at(kappa_scalar), WINDOW, at(kappa)))])
+    return _hyperbolic(kappa, scalar, kappa_scalar)
+
+
+def _hyperbolic(kappa, scalar, kappa_scalar) -> ConstructedSoliton:
+    """The derivation of ``construct_hyperbolic_skew``, unchecked: kappa
+    positive and every kappa_scalar = kappa * s_g in the window are the
+    caller's to check."""
     scalar = np.asarray(scalar, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         a = np.sqrt(-scalar / 6.0)
@@ -314,9 +323,10 @@ SWEEP_BLOCK = 1024
 def _sweep_rows(kappa: float, scalars, tol: float) -> list[SweepRow]:
     """Rows for samples of s_g at one kappa.
 
-    Per block of SWEEP_BLOCK samples, the window predicate marks the
-    out-of-window ones, and one constructor call builds the in-window ones
-    as one batch scenario for one full_report.  The caller checks kappa.
+    The caller checks kappa, and the window predicate, evaluated once over
+    all samples, marks the out-of-window ones.  Per block of SWEEP_BLOCK
+    samples, the in-window ones and their kappa s_g reach the derivation
+    (``_hyperbolic``) unchecked, as one batch scenario for one full_report.
     """
     scalars = np.asarray(scalars, dtype=float)
     kappa_scalars = _kappa_scalar(kappa, scalars)
@@ -329,7 +339,8 @@ def _sweep_rows(kappa: float, scalars, tol: float) -> list[SweepRow]:
         # (alpha, h, residual norm, verdict) per row of the block
         fields = [(None, None, None, "OUT_OF_WINDOW")] * (stop - start)
         if index.size:
-            built = construct_hyperbolic_skew(kappa, scalars[start + index])
+            at = start + index  # the block's in-window samples, in the whole sweep
+            built = _hyperbolic(kappa, scalars[at], kappa_scalars[at])
             report = residuals.full_report(built.scenario, tol=tol)
             solved = zip(built.alpha.tolist(), built.h.tolist(),
                          report.worst.tolist(), report.verdict.tolist())

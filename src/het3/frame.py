@@ -88,6 +88,13 @@ def _per_grid(x) -> np.ndarray:
     return np.asarray(x)[..., None, None]
 
 
+def _max_abs(x: np.ndarray, core: int) -> np.ndarray:
+    """The largest |x| over the last ``core`` axes, per sample: one
+    np.maximum.reduce over the flattened core, where a NaN entry gives NaN."""
+    a = np.abs(x)
+    return np.maximum.reduce(a.reshape(a.shape[: a.ndim - core] + (-1,)), axis=-1)
+
+
 def dot(u, v) -> np.ndarray:
     """Dot product over the last axis, batched over the leading ones.
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AntisymmetryViolation, JacobiViolation, TraceMismatch, raise_first
-from .frame import _P, _Q, EPS, IDENTITY, CurvatureOperator, star_matrix
+from .frame import _P, _Q, EPS, IDENTITY, CurvatureOperator, _max_abs, star_matrix
 
 STRUCT_TOL = 1e-12
 TRACE_TOL = 1e-9  # trace(Ric) against the given s in the closed forms
@@ -93,22 +93,27 @@ def milnor(l1, l2, l3) -> StructureConstants:
     )
 
 
+def _cyclic_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of t[j, k, i, l] and t[k, i, j, l] at each flat
+    index 27 i + 9 j + 3 k + l of a (3, 3, 3, 3) grid t."""
+    i, j, k, l = np.indices((3, 3, 3, 3)).reshape(4, 81)
+    return 27 * j + 9 * k + 3 * i + l, 27 * k + 9 * i + 3 * j + l
+
+
+_JKI, _KIJ = _cyclic_tables()
+
+
 def jacobi_defect(sc: StructureConstants) -> np.ndarray:
     """Max-norm of the cyclic Jacobi sum over all index triples, per model:
     the one reduction of the Jacobi identity, which ``validate`` compares
     with STRUCT_TOL.  Opposite overflows in a sum give inf - inf, quietly:
     the defect is then NaN."""
     c = sc.c
-    # [[e_i,e_j],e_k] contributes c_{ijm} c_{mkl}
-    t = np.einsum("...ijm,...mkl->...ijkl", c, c)
-    # the cyclic relabelings t[jkil] and t[kijl] as views of t: the views
-    # that einsum "...jkil->...ijkl" and "...kijl->...ijkl" return
-    n = t.ndim - 4
-    lead = tuple(range(n))
-    jki = t.transpose(lead + (n + 2, n, n + 1, n + 3))
-    kij = t.transpose(lead + (n + 1, n + 2, n, n + 3))
+    # [[e_i,e_j],e_k] contributes c_{ijm} c_{mkl}, flat over (i, j, k, l)
+    t = np.einsum("...ijm,...mkl->...ijkl", c, c).reshape(c.shape[:-3] + (81,))
+    # the cyclic relabelings t[jkil] and t[kijl], gathered from the flat entries
     with np.errstate(invalid="ignore"):
-        return np.abs(t + jki + kij).max(axis=(-4, -3, -2, -1))
+        return _max_abs(t + t.take(_JKI, axis=-1) + t.take(_KIJ, axis=-1), 1)
 
 
 def model_checks(sc: StructureConstants) -> list:
@@ -120,7 +125,7 @@ def model_checks(sc: StructureConstants) -> list:
     # each deviation reduced once per model, quietly: an overflow or a NaN
     # fails its check
     with np.errstate(over="ignore", invalid="ignore"):
-        anti = np.abs(c + c.swapaxes(-3, -2)).max(axis=(-3, -2, -1))
+        anti = _max_abs(c + c.swapaxes(-3, -2), 3)
         defect = jacobi_defect(sc)
     return [
         (anti <= STRUCT_TOL,
@@ -142,7 +147,13 @@ def validate(sc: StructureConstants) -> None:
 def levi_civita(sc: StructureConstants) -> np.ndarray:
     """Koszul formula in an orthonormal frame: 2 gamma_ijk = c_ijk - c_jki + c_kij."""
     c = sc.c
-    return 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
+    # the cyclic relabelings c[jki] and c[kij] as views of c: the views that
+    # einsum "...jki->...ijk" and "...kij->...ijk" return
+    n = c.ndim - 3
+    lead = tuple(range(n))
+    jki = c.transpose(lead + (n + 2, n, n + 1))
+    kij = c.transpose(lead + (n + 1, n + 2, n))
+    return 0.5 * (c - jki + kij)
 
 
 def curvature_endo(sc: StructureConstants, gamma: np.ndarray) -> np.ndarray:

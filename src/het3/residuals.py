@@ -84,6 +84,7 @@ from .frame import (
     EPS,
     IDENTITY,
     CurvatureOperator,
+    _max_abs,
     _per_grid,
     as_vec,
     cached_property,
@@ -200,9 +201,9 @@ def structural_checks(sc: SolitonScenario) -> list:
     # the bound of Contorsion.is_pure_skew_torsion, which then ignores zeta;
     # quietly, as every check reads inputs that may not be finite
     with np.errstate(over="ignore", invalid="ignore"):
-        zeta = np.abs(sc.contorsion.skew_vector).max(axis=-1)
+        zeta = _max_abs(sc.contorsion.skew_vector, 1)
         # closedness of a frame-constant 1-form: phi([e_i, e_j]) = 0
-        dphi = np.abs(np.einsum("...ijk,...k->...ij", sc.model.c, sc.phi)).max(axis=(-2, -1))
+        dphi = _max_abs(np.einsum("...ijk,...k->...ij", sc.model.c, sc.phi), 2)
     return [
         (finite, lambda at: ScenarioValidationError(
             f"{next(name for name, value in inputs.items() if not np.isfinite(value).all())} "

@@ -467,14 +467,19 @@ class TestSweep:
     @pytest.mark.parametrize("bounds", [{}, {"s_max": -1.0}, {"s_min": -10.0, "s_max": -1.0}],
                              ids=["window", "s_max", "both"])
     def test_kappa_checked_once_per_call(self, monkeypatch, bounds):
-        # once by the sweep, with its bounds, and once by the constructor of
-        # its one block
+        # once by the sweep, with its bounds: its blocks reach the derivation
+        # unchecked, at any number of blocks
         calls = []
         kappa_checks = constructors._kappa_checks
         monkeypatch.setattr(constructors, "_kappa_checks",
                             lambda kappa: calls.append(kappa) or kappa_checks(kappa))
         assert len(constructors.sweep_window(2.0, 4, **bounds)) == 4
-        assert calls == [2.0, 2.0]
+        assert calls == [2.0]
+        calls.clear()
+        monkeypatch.setattr(constructors, "SWEEP_BLOCK", 3)
+        rows = constructors.sweep_window(2.0, 10, **bounds)
+        assert sum(row.verdict != "OUT_OF_WINDOW" for row in rows) > 3  # two blocks or more
+        assert calls == [2.0]
 
 
 class TestCorpusProperties:
@@ -636,8 +641,7 @@ class TestBatchConstruction:
 
     def test_one_construction_per_sweep(self, monkeypatch):
         calls = Counter()
-        for module, name in [(constructors, "construct_hyperbolic_skew"),
-                             (geometry, "hyperbolic_model")]:
+        for module, name in [(constructors, "_hyperbolic"), (geometry, "hyperbolic_model")]:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
@@ -645,7 +649,7 @@ class TestBatchConstruction:
             monkeypatch.setattr(module, name, counted)
         rows = constructors.sweep_window(1.0, 16)
         assert len(rows) == 16
-        assert calls == {"construct_hyperbolic_skew": 1, "hyperbolic_model": 1}
+        assert calls == {"_hyperbolic": 1, "hyperbolic_model": 1}
 
     @pytest.mark.parametrize("block", [constructors.SWEEP_BLOCK, 7, 3])
     def test_mixed_block_keeps_row_order(self, monkeypatch, block):

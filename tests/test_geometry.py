@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import model_corpus, random_model
-from het3 import frame, geometry
-from het3.errors import AntisymmetryViolation, JacobiViolation, TraceMismatch
+from het3 import frame, geometry, residuals, torsion
+from het3.errors import (
+    AntisymmetryViolation,
+    JacobiViolation,
+    ScenarioValidationError,
+    TraceMismatch,
+)
 
 # the cyclic pairs (i, j) of *e_a = e_i ^ e_j, restated for the reference loops
 PAIRS = ((1, 2), (2, 0), (0, 1))
@@ -153,6 +158,128 @@ class TestJacobiDefect:
                          + np.einsum("...jikl->...ijkl", t)).max(axis=(-4, -3, -2, -1))
         assert not np.array_equal(geometry.jacobi_defect(geometry.StructureConstants(c)),
                                   swapped)
+
+
+def einsum_levi_civita(c):
+    """levi_civita with the two cyclic relabelings written as einsums."""
+    return 0.5 * (c - np.einsum("...jki->...ijk", c) + np.einsum("...kij->...ijk", c))
+
+
+class TestLeviCivitaViews:
+    """The transposed views of levi_civita against the einsum relabelings,
+    values and sign bits, on grids that need not be antisymmetric."""
+
+    @staticmethod
+    def assert_same(c, reference=einsum_levi_civita):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = geometry.levi_civita(geometry.StructureConstants(c))
+            want = reference(c)
+        np.testing.assert_array_equal(got, want, strict=True)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 4), (1024,)])
+    @pytest.mark.parametrize("specials", [[0.0, -0.0], [0.0, -0.0, np.inf, -np.inf, np.nan]],
+                             ids=["signed_zeros", "non_finite"])
+    def test_einsum_relabelings(self, rng, shape, specials):
+        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+            self.assert_same(TestJacobiDefect.draw(rng, shape, scale, specials))
+
+    def test_a_mutated_form_fails(self, rng):
+        # the comparison can see a relabeling that is not cyclic
+        c = TestJacobiDefect.draw(rng, (16,), 1.0, [0.0, -0.0])
+        with pytest.raises(AssertionError):
+            self.assert_same(c, lambda c: 0.5 * (c - np.einsum("...jik->...ijk", c)
+                                                 + np.einsum("...kij->...ijk", c)))
+
+
+class TestFlatDeviations:
+    """The deviations of validation, each one np.maximum.reduce over a
+    flattened core: the bits of the reductions over axis tuples, and the
+    NaN rules of their checks, with no warning."""
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 4), (1024,)])
+    @pytest.mark.parametrize("core", [1, 2, 3])
+    def test_max_abs(self, rng, shape, core):
+        x = rng.normal(size=shape + (3,) * core)
+        x = np.where(rng.random(x.shape) < 0.3,
+                     rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=x.shape), x)
+        axes = tuple(range(-core, 0))
+        # a strided view too, as an einsum may return
+        for grid in (x, np.swapaxes(x, -1, -core)):
+            np.testing.assert_array_equal(frame._max_abs(grid, core),
+                                          np.abs(grid).max(axis=axes), strict=True)
+
+    @staticmethod
+    def batch(value, shape):
+        """value broadcast to the batch shape, as a writable copy, and a
+        view of its last sample."""
+        grid = np.broadcast_to(value, shape + np.shape(value)).copy()
+        return grid, grid.reshape((-1,) + np.shape(value))[-1]
+
+    @staticmethod
+    def raised(check, *args):
+        """The error that check raises, and no warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((AntisymmetryViolation, JacobiViolation,
+                                ScenarioValidationError)) as info:
+                check(*args)
+        return info.value
+
+    @staticmethod
+    def only_last(exc):
+        flags = np.ravel(exc.invalid_samples)
+        return np.flatnonzero(flags).tolist() == [flags.size - 1]
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 4)])
+    def test_nan_in_c_fails(self, shape):
+        c, last = self.batch(geometry.hyperbolic_model(1.0).c, shape)
+        last[0, 1, 1] = np.nan
+        exc = self.raised(geometry.validate, geometry.StructureConstants(c))
+        assert type(exc) is AntisymmetryViolation
+        assert str(exc) == "c_ijk + c_jik deviates by nan"
+        assert self.only_last(exc)
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 4)])
+    def test_jacobi_overflow_fails(self, shape):
+        c, last = self.batch(geometry.milnor(1.0, 1.0, 1.0).c, shape)
+        last[...] = geometry.milnor(1e200, 1e200, 1e200).c
+        exc = self.raised(geometry.validate, geometry.StructureConstants(c))
+        assert type(exc) is JacobiViolation
+        assert str(exc) == "structure constants overflow the float range in the Jacobi sums"
+        assert self.only_last(exc)
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 4)])
+    def test_nan_in_contorsion_fails(self, shape):
+        # the skew deviation zeta is NaN, which passes its own check, and the
+        # finite check names the contorsion
+        a, last = self.batch(torsion.skew(0.5).a, shape)
+        last[0, 1] = np.nan
+        c, _ = self.batch(geometry.heisenberg(1.0).c, shape)
+        sc = residuals.SolitonScenario(geometry.StructureConstants(c), torsion.Contorsion(a),
+                                       h=1.0, kappa=1.0, phi=np.zeros(shape + (3,)))
+        assert np.isnan(sc.contorsion.skew_vector).any()
+        assert residuals.structural_checks(sc)[-2][0].all()
+        exc = self.raised(residuals.validate_scenario, sc)
+        assert type(exc) is ScenarioValidationError
+        assert str(exc) == "contorsion must be finite (no NaN or inf)"
+        assert self.only_last(exc)
+
+    @pytest.mark.parametrize("shape", [(), (16,), (3, 4)])
+    def test_nan_in_dphi_passes(self, shape):
+        # [e1, e2] = 4 (e1 + e2) and phi = (1e308, -1e308, 0): finite inputs
+        # whose products in phi([e1, e2]) overflow to inf and -inf
+        model = geometry.StructureConstants.from_entries([(0, 1, 0, 4.0), (0, 1, 1, 4.0)])
+        c, _ = self.batch(model.c, shape)
+        phi, _ = self.batch(np.array([1e308, -1e308, 0.0]), shape)
+        a, _ = self.batch(torsion.skew(0.0).a, shape)
+        sc = residuals.SolitonScenario(geometry.StructureConstants(c), torsion.Contorsion(a),
+                                       h=1.0, kappa=1.0, phi=phi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.einsum("...ijk,...k->...ij", c, phi)).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals.validate_scenario(sc)
 
 
 class TestLeviCivita:
