@@ -13,7 +13,9 @@ script, which it reads and does not change:
   normal-form documents (alpha, gamma and the axis components of both
   signs; the axes +-e1, +-e2 and +-e3 among them), one path per call, and
   ``check`` and ``check --json`` of all of them in one call;
-* every sweep of the sweep pool and the sweep probes of seeds 1 and 2;
+* every sweep of the sweep pool and the sweep probes of seeds 1 and 2, then
+  four sweeps of many SWEEP_BLOCKs (MULTI_BLOCK_SWEEPS), whose blocks end
+  next to out-of-window rows, one of them an error;
 * ``construct -o FILE`` of each family (the generic one with both signs) at
   kappa = 10^(k/2), k = -16..16: with ``--scalar`` at kappa s_g in {-30,
   -24, -6, -1e-3} for the two families that read it (``heisenberg-generic``
@@ -46,6 +48,13 @@ SEEDS = (1, 2)
 CONSTRUCT_KS = (-30.0, -24.0, -6.0, -1e-3)
 NORMAL_FORMS = 600
 AXES = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+MULTI_BLOCK_SWEEPS = [
+    ["sweep", "--kappa", "1", "--points", "3000", "--s-min", "-30", "--s-max", "2"],
+    ["sweep", "--kappa", "2.5", "--points", "2050"],
+    ["sweep", "--kappa", "0.01", "--points", "5000", "--s-min", "-3000", "--s-max", "-1000"],
+    # exit 2: alpha = nan must be finite
+    ["sweep", "--kappa", "1e300", "--points", "1500", "--s-min", "-1e-299", "--s-max", "1e-300"],
+]
 
 
 def normal_form_docs(count: int) -> list[str]:
@@ -107,6 +116,7 @@ def corpus(directory: str, files: int | None) -> list[dict]:
         for kind, sweeps in (("pool", oracle.sweep_pool(seed)), ("probe", oracle.sweep_probes(seed))):
             runs += [{"name": f"sweep {kind}{seed}-{n:04d}", "argv": s.argv}
                      for n, s in enumerate(sweeps[take])]
+    runs += [{"name": " ".join(argv), "argv": argv} for argv in MULTI_BLOCK_SWEEPS[take]]
     output = os.path.join(directory, "constructed.json")
     kappas = [10.0 ** (k / 2) for k in range(-16, 17)]
     constructs = [

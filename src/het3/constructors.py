@@ -33,10 +33,10 @@ HEISENBERG_TYPE; a single scenario gives a str kind and an axis or None.
 
 The hyperbolic window -24 < kappa s_g < 0 is one predicate, ``in_window``:
 ``construct_hyperbolic_skew`` raises OutOfWindow on any sample outside it,
-and a sweep uses it to mark OUT_OF_WINDOW rows.  A sweep checks kappa and
-the window once, for all its samples, and passes the in-window samples of
-each SWEEP_BLOCK, with their kappa s_g, unchecked to ``_hyperbolic``: the
-derivation that ``construct_hyperbolic_skew`` runs after its own checks.
+and a sweep uses it to mark OUT_OF_WINDOW rows.  A sweep's grid is one
+np.linspace between checked ends.  It checks kappa and the window once, and
+its in-window samples reach ``_hyperbolic``, the derivation that
+``construct_hyperbolic_skew`` runs after its checks, in blocks of SWEEP_BLOCK.
 """
 
 from __future__ import annotations
@@ -173,22 +173,6 @@ def _kappa_scalar(kappa, scalar) -> np.ndarray:
         return np.multiply(kappa, scalar)
 
 
-def _window_low(kappa: float) -> float:
-    """-24/kappa, the window's lower end in s_g, quietly: an inf or NaN fails its check."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return float(np.divide(WINDOW[0], kappa))
-
-
-def scalar_window(kappa: float) -> tuple[float, float]:
-    """Admissible open interval for s_g of hyperbolic skew solitons.
-
-    Raises when -24/kappa overflows (kappa below about 1.3e-307).
-    """
-    low = _window_low(kappa)
-    raise_first(_kappa_checks(kappa) + [_finite("-24/kappa", low)])
-    return (low, WINDOW[1])
-
-
 def construct_hyperbolic_skew(kappa, scalar) -> ConstructedSoliton:
     """Hyperbolic skew-torsion soliton for kappa * s_g in (-24, 0).
 
@@ -313,41 +297,35 @@ class SweepRow(NamedTuple):
     verdict: str  # SOLUTION | NOT_SOLUTION | OUT_OF_WINDOW
 
 
-# Samples per full_report in a sweep.  One full block peaks at about 4.0 MB
-# of working memory (tracemalloc over sweep_window(1.0, 1024): scenario,
-# curvature gathers, report and rows), so this bounds a sweep's working
-# memory at any number of points; only the returned rows grow with it.
+# In-window samples per full_report in a sweep.  One full block peaks at
+# about 3.9 MB of working memory (tracemalloc over sweep_window(1.0, 1024):
+# scenario, curvature gathers and report), so this bounds a sweep's working
+# memory at any number of points; only the rows and their fields grow with it.
 SWEEP_BLOCK = 1024
 
 
 def _sweep_rows(kappa: float, scalars, tol: float) -> list[SweepRow]:
     """Rows for samples of s_g at one kappa.
 
-    The caller checks kappa, and the window predicate, evaluated once over
-    all samples, marks the out-of-window ones.  Per block of SWEEP_BLOCK
-    samples, the in-window ones and their kappa s_g reach the derivation
-    (``_hyperbolic``) unchecked, as one batch scenario for one full_report.
+    The caller checks kappa.  The window predicate, evaluated once over all
+    samples, marks the out-of-window ones; the in-window ones, with their
+    kappa s_g, reach the derivation (``_hyperbolic``) unchecked, in blocks of
+    at most SWEEP_BLOCK, each one batch scenario for one full_report.
     """
     scalars = np.asarray(scalars, dtype=float)
     kappa_scalars = _kappa_scalar(kappa, scalars)
-    inside = in_window(kappa_scalars)
-    s_list, ks_list = scalars.tolist(), kappa_scalars.tolist()
-    rows: list = []
-    for start in range(0, len(s_list), SWEEP_BLOCK):
-        stop = min(start + SWEEP_BLOCK, len(s_list))
-        index = np.flatnonzero(inside[start:stop])
-        # (alpha, h, residual norm, verdict) per row of the block
-        fields = [(None, None, None, "OUT_OF_WINDOW")] * (stop - start)
-        if index.size:
-            at = start + index  # the block's in-window samples, in the whole sweep
-            built = _hyperbolic(kappa, scalars[at], kappa_scalars[at])
-            report = residuals.full_report(built.scenario, tol=tol)
-            solved = zip(built.alpha.tolist(), built.h.tolist(),
-                         report.worst.tolist(), report.verdict.tolist())
-            for i, values in zip(index.tolist(), solved):
-                fields[i] = values
-        rows += map(SweepRow, s_list[start:stop], ks_list[start:stop], *zip(*fields))
-    return rows
+    inside = np.flatnonzero(in_window(kappa_scalars))
+    # (alpha, h, residual norm, verdict) per row
+    fields = [(None, None, None, "OUT_OF_WINDOW")] * scalars.size
+    for start in range(0, inside.size, SWEEP_BLOCK):
+        at = inside[start:start + SWEEP_BLOCK]
+        built = _hyperbolic(kappa, scalars[at], kappa_scalars[at])
+        report = residuals.full_report(built.scenario, tol=tol)
+        solved = zip(built.alpha.tolist(), built.h.tolist(),
+                     report.worst.tolist(), report.verdict.tolist())
+        for i, values in zip(at.tolist(), solved):
+            fields[i] = values
+    return list(map(SweepRow, scalars.tolist(), kappa_scalars.tolist(), *zip(*fields)))
 
 
 def sweep_row(kappa: float, scalar: float, tol: float = residuals.DEFAULT_TOL) -> SweepRow:
@@ -363,22 +341,22 @@ def sweep_window(
     s_max: float | None = None,
     tol: float = residuals.DEFAULT_TOL,
 ) -> list[SweepRow]:
-    """Sample s_g across the admissible window (interior by default)."""
+    """n_points evenly spaced samples of s_g from s_min to s_max, both included.
+
+    An end not given is the window's: -24/kappa below, 0 above.  With
+    neither given the grid is the window's strict interior, the n_points
+    inner samples of n_points + 2.
+    """
     if n_points < 2:
         raise InvalidSampleCount("n_points must be at least 2")
-    if s_min is None and s_max is None:
-        low, high = scalar_window(kappa)
-        # strictly interior grid of the open window
-        step = (high - low) / (n_points + 1)
-        samples = low + np.arange(1, n_points + 1) * step
-    else:
-        # the window's lower end, -24/kappa, only when s_min is not given
-        lo, name = (_window_low(kappa), "-24/kappa") if s_min is None else (s_min, "s_min")
+    # quietly: an inf or NaN end or step fails its check
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lo = np.divide(WINDOW[0], kappa) if s_min is None else s_min
         hi = WINDOW[1] if s_max is None else s_max
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN fails the check
-            step = (hi - lo) / (n_points - 1)
-        raise_first(_kappa_checks(kappa) + [
-            _finite(name, lo), _finite("s_max", hi),
-            _finite("(s_max - s_min)/(points - 1)", step)])
-        samples = np.linspace(lo, hi, n_points)
-    return _sweep_rows(kappa, samples, tol)
+        step = (hi - lo) / (n_points - 1)
+    raise_first(_kappa_checks(kappa) + [
+        _finite("-24/kappa" if s_min is None else "s_min", lo), _finite("s_max", hi),
+        _finite("(s_max - s_min)/(points - 1)", step)])
+    if s_min is None and s_max is None:
+        return _sweep_rows(kappa, np.linspace(lo, hi, n_points + 2)[1:-1], tol)
+    return _sweep_rows(kappa, np.linspace(lo, hi, n_points), tol)

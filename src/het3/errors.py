@@ -76,7 +76,8 @@ class NonNegativeScalar(Het3Error):
 
 class DegeneratesToSkew(Het3Error):
     """Generic-reducible parameters whose torsion is purely skew by the test a
-    report applies, Contorsion.is_pure_skew_torsion: |gamma| <= 1.5e-10."""
+    report applies, Contorsion.is_pure_skew_torsion: |gamma| <= 1.5 SKEW_TOL,
+    as Theta's largest entry is 2 |gamma| / 3."""
 
 
 class InvalidSampleCount(Het3Error, ValueError):

@@ -198,7 +198,7 @@ def structural_checks(sc: SolitonScenario) -> list:
     finite = np.isfinite(np.concatenate([np.ravel(value) for value in inputs.values()])).all() or (
         every(np.isfinite(value).all(axis=tuple(range(-core, 0)))
               for value, core in zip(inputs.values(), (3, 2, 0, 0, 1))))
-    # the bound of Contorsion.is_pure_skew_torsion, which then ignores zeta;
+    # zeta against SKEW_TOL, as Contorsion.is_pure_skew_torsion reads it;
     # quietly, as every check reads inputs that may not be finite
     with np.errstate(over="ignore", invalid="ignore"):
         zeta = _max_abs(sc.contorsion.skew_vector, 1)

@@ -225,16 +225,19 @@ class TestHyperbolicSkew:
             "admissible s_g window for kappa=1e-308: s_g < 0"
         )
 
-    def test_scalar_window(self):
-        assert constructors.scalar_window(1.0) == (-24.0, 0.0)
-        assert constructors.scalar_window(0.5) == (-48.0, 0.0)
-        assert constructors.scalar_window(3.0) == (-8.0, 0.0)
+    def test_scalar_window(self, monkeypatch):
+        # the default sweep's grid lies strictly inside the open s_g window
+        grids = []
+        monkeypatch.setattr(constructors, "_sweep_rows",
+                            lambda kappa, scalars, tol: grids.append(scalars) or [])
+        for kappa in (1.0, 0.5, 3.0, 1e-306):
+            constructors.sweep_window(kappa, 16)
+            assert (-24.0 / kappa < grids[-1]).all() and (grids[-1] < 0.0).all()
         with pytest.raises(NonPositiveKappa):
-            constructors.scalar_window(0.0)
+            constructors.sweep_window(0.0, 16)
         # -24/kappa past the float range is an error, not -inf
-        assert constructors.scalar_window(1e-306) == (-24.0 / 1e-306, 0.0)
-        with pytest.raises(ScenarioValidationError, match="must be finite"):
-            constructors.scalar_window(1e-308)
+        with pytest.raises(ScenarioValidationError, match=r"^-24/kappa = -inf must be finite$"):
+            constructors.sweep_window(1e-308, 16)
 
 
 class TestBoundary:
@@ -433,12 +436,38 @@ class TestClassify:
 
 class TestSweep:
     def test_all_rows_solve(self):
-        rows = constructors.sweep_window(1.0, 25)
+        kappa = 1.0
+        rows = constructors.sweep_window(kappa, 25)
         assert len(rows) == 25
         for row in rows:
             assert row.verdict == "SOLUTION"
             assert row.residual_norm <= 1e-9
-            assert constructors.scalar_window(1.0)[0] < row.scalar < 0.0
+            assert -24.0 / kappa < row.scalar < 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 1025])
+    def test_default_grid_is_the_interior_grid(self, monkeypatch, n):
+        # the inner n samples of np.linspace over n + 2 are, bit for bit, the
+        # interior grid low + k step, k = 1..n, at every scale of kappa
+        grids = []
+        monkeypatch.setattr(constructors, "_sweep_rows",
+                            lambda kappa, scalars, tol: grids.append(scalars) or [])
+        for kappa in (10.0 ** k for k in range(-300, 301, 30)):
+            constructors.sweep_window(kappa, n)
+            low = -24.0 / kappa
+            step = (0.0 - low) / (n + 1)
+            assert grids[-1].tobytes() == (low + np.arange(1, n + 1) * step).tobytes(), kappa
+
+    def test_blocks_hold_only_in_window_samples(self, monkeypatch):
+        # 29 of 40 samples in the window: full blocks of 3 and one of 2, not
+        # blocks cut by position around the out-of-window rows
+        sizes = []
+        full_report = residuals.full_report
+        monkeypatch.setattr(constructors, "SWEEP_BLOCK", 3)
+        monkeypatch.setattr(residuals, "full_report",
+                            lambda sc, **kw: sizes.append(len(sc.h)) or full_report(sc, **kw))
+        rows = constructors.sweep_window(1.0, 40, s_min=-30.0, s_max=2.0)
+        assert sum(row.verdict != "OUT_OF_WINDOW" for row in rows) == 29
+        assert sizes == [3] * 9 + [2]
 
     def test_alpha_monotone_toward_boundary(self):
         rows = constructors.sweep_window(1.0, 50)
