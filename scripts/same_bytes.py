@@ -20,7 +20,10 @@ script, which it reads and does not change:
   kappa = 10^(k/2), k = -16..16: with ``--scalar`` at kappa s_g in {-30,
   -24, -6, -1e-3} for the two families that read it (``heisenberg-generic``
   and ``hyperbolic``), and once per kappa for the two that fix s_g and
-  reject the option (``heisenberg-skew`` and ``boundary``).
+  reject the option (``heisenberg-skew`` and ``boundary``);
+* ARGV_FORMS, command lines in other forms: abbreviations, which argparse
+  parses, and an option before a positional and ``=`` values, which het3
+  reads from the parser's action table.
 
 --files N takes the first N items of every source (default: all of them).
 The documents are written once, to one directory that both trees read, so
@@ -54,6 +57,14 @@ MULTI_BLOCK_SWEEPS = [
     ["sweep", "--kappa", "0.01", "--points", "5000", "--s-min", "-3000", "--s-max", "-1000"],
     # exit 2: alpha = nan must be finite
     ["sweep", "--kappa", "1e300", "--points", "1500", "--s-min", "-1e-299", "--s-max", "1e-300"],
+]
+
+# {path} is the first document of the corpus, {output} the file a run writes
+ARGV_FORMS = [
+    ["sweep", "--kap", "1", "--poi", "3"],
+    ["check", "--json", "{path}"],
+    ["construct", "boundary", "--kappa=2", "-o", "{output}"],
+    ["sweep", "--points=3", "--kappa=1"],
 ]
 
 
@@ -129,6 +140,10 @@ def corpus(directory: str, files: int | None) -> list[dict]:
          for family in ("heisenberg-skew", "boundary") for kappa in kappas]
     runs += [{"name": " ".join(argv), "argv": argv + ["-o", output], "output": output}
              for argv in constructs[take]]
+    for form in ARGV_FORMS:
+        argv = [token.replace("{path}", paths[0]).replace("{output}", output) for token in form]
+        runs.append({"name": " ".join(form), "argv": argv,
+                     "output": output if "{output}" in form else None})
     return runs
 
 

@@ -45,6 +45,15 @@ its float and string leaves replaced by ``%s`` slots, filled by one walk
 over those leaves; a report reuses the layout of its shape (remark_identity
 null or not, simple_axis null or not), made from the first report of that
 shape.
+
+The command line is argparse's (``build_parser``), built once per process.
+A well-formed command line after a command's name is read straight from
+that command parser's action table (``_read_command``): exact option
+strings with their values, one run of positionals, each value through its
+option's type and choices, every required option present.  Anything else
+(``--version``, ``-h``, an unknown command, an abbreviation, ``--``, a bad
+value or a missing option) goes to argparse's own dispatch, the top-level
+``parse_args``, so that help, usage and errors are argparse's own.
 """
 
 from __future__ import annotations
@@ -59,7 +68,6 @@ import os
 import re
 import reprlib
 import sys
-from gettext import gettext
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -683,27 +691,108 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# argparse set-up: ~2 ms in a fresh process, against ~0.6 ms for a warm `check`
+# argparse set-up, once per process: a median 2.0 ms (scripts/startup.py's
+# ``parser`` phase, 12 pairs, 2-vCPU Xeon VM, Python 3.11.7)
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _action_table(command: argparse.ArgumentParser) -> tuple:
+    """A command parser's argparse action table, as ``_read_command`` reads
+    it: its options that store one value and its store_true flags, by option
+    string; its positionals; the default of each dest that argparse sets a
+    default for; and its required options.  Any other option (``-h``) is
+    left out, so that a command line naming it goes to argparse."""
+    actions = command._actions
+    return (
+        {string: action for action in actions
+         if (type(action), action.nargs) in ((argparse._StoreAction, None),
+                                             (argparse._StoreTrueAction, 0))
+         for string in action.option_strings},
+        [action for action in actions if not action.option_strings],
+        {action.dest: action.default for action in actions
+         if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS},
+        [action for action in actions if action.required and action.option_strings],
+    )
+
+
+def _value(action: argparse.Action, text: str):
+    """text through action's type, checked against its choices, as argparse
+    takes a value; ValueError for one argparse rejects."""
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _read_command(command: argparse.ArgumentParser, argv: list) -> dict | None:
+    """The values that ``command`` parses from a well-formed argv, read
+    straight from its action table (``_action_table``); None for anything
+    else.  Well-formed: exact option strings, each with its value in the next
+    token or after ``=`` (a flag without ``=``), and one contiguous run of
+    positionals that fits their nargs (None or "+"); every value converted by
+    its action's type and in its choices, one that starts with "-" a
+    negative number (``_NEGATIVE_NUMBER``), and every required option given.
+    Abbreviations, ``--``, ``-h``, an attached short option (``-oPATH``), a
+    second run of positionals, a bad value or a missing option all give
+    None."""
+    options, positionals, defaults, required = _action_table(command)
+    values, seen, run, closed = dict(defaults), set(), [], False
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            if token[:1] != "-" or _NEGATIVE_NUMBER.match(token):
+                if closed:  # a second run of positionals
+                    return None
+                run.append(token)
+                continue
+            closed = bool(run)
+            option, equals, text = token.partition("=")
+            action = options.get(option)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                if equals:
+                    return None
+                values[action.dest] = action.const
+            else:
+                if not equals:
+                    text = next(tokens, None)
+                    if text is None:
+                        return None
+                if text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+                    return None
+                values[action.dest] = _value(action, text)
+            seen.add(action)
+        nargs = [action.nargs for action in positionals]
+        if nargs == ["+"] and run:
+            values[positionals[0].dest] = [_value(positionals[0], text) for text in run]
+        elif nargs == [None] * len(run):
+            for action, text in zip(positionals, run):
+                values[action.dest] = _value(action, text)
+        else:
+            return None
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return values if seen.issuperset(required) else None
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """``_parser().parse_args(argv)`` in one pass when argv[0] names a
-    command: the rest goes straight to that command's parser, the one the
-    top-level parser would hand it to.  Anything else (--version, -h, a
-    missing or unknown command) goes through the top-level parser."""
+    """``_parser().parse_args(argv)``.  When argv[0] names a command and
+    the rest is a well-formed command line, the command parser's own action
+    table gives its values (``_read_command``), without argparse parsing.
+    Anything else (--version, -h, a missing or unknown command, an
+    abbreviation, ``--``, a bad value or a missing option) goes through
+    argparse's own dispatch, which writes its own help, usage and errors."""
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
+    values = None if command is None else _read_command(command, argv[1:])
+    if values is None:
         return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:  # reported by the top-level parser, as parse_args reports them
-        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
-    args.command = argv[0]
-    return args
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,7 @@
 """CLI surface: scenario files, subcommands, exit codes, determinism."""
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
@@ -16,6 +17,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import het3
 from het3 import cli, constructors, errors, frame, geometry, residuals, torsion
@@ -658,21 +661,59 @@ class TestParserOnce:
         (["nope"], "het3"),
     ])
     def test_one_parse_per_call(self, tmp_path, monkeypatch, capsys, argv, prog):
-        # a command's arguments are parsed once, by the command's parser;
-        # anything else once, by the top-level parser
+        # a well-formed command line is read once, from the command parser's
+        # action table, with no argparse parse; anything else is parsed
+        # once, by the top-level parser
         path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
-        seen, parse = [], argparse.ArgumentParser.parse_known_args
-
-        def counting(parser, *args, **kwargs):
-            seen.append(parser.prog)
-            return parse(parser, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        reads, parses = record_parses(monkeypatch)
         try:
             cli.main([arg.replace("{path}", path) for arg in argv])
         except SystemExit:
             pass
-        assert seen == [prog]
+        assert (reads, parses) == (([], [prog]) if prog == "het3" else ([prog], []))
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kap", "1", "--points", "2"],
+        ["sweep", "--kappa", "1"],
+        ["sweep", "-h"],
+        ["check", "{path}", "--json=1"],
+        ["check", "{path}", "--json", "{path}"],
+        ["check", "--", "{path}"],
+        ["construct", "boundary", "--kappa", "1", "-o{tmp}/built.json"],
+    ], ids=["abbreviation", "missing_option", "help", "flag_value", "two_runs",
+            "double_dash", "attached_short_option"])
+    def test_malformed_command_goes_to_argparse(self, tmp_path, monkeypatch, capsys, argv):
+        # the reader declines, and argparse's own dispatch parses argv from
+        # the top: the top-level parser hands it to the command's parser
+        path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
+        reads, parses = record_parses(monkeypatch)
+        try:
+            cli.main([arg.replace("{path}", path).replace("{tmp}", str(tmp_path))
+                      for arg in argv])
+        except SystemExit:
+            pass
+        prog = f"het3 {argv[0]}"
+        assert (reads, parses) == ([prog], ["het3", prog])
+
+
+def record_parses(monkeypatch):
+    """Two lists that main's calls fill: the prog of each command parser whose
+    action table ``cli._read_command`` reads, and of each parser whose
+    ``parse_known_args`` runs."""
+    reads, parses = [], []
+    read, parse = cli._read_command, argparse.ArgumentParser.parse_known_args
+
+    def reading(command, argv):
+        reads.append(command.prog)
+        return read(command, argv)
+
+    def parsing(parser, *args, **kwargs):
+        parses.append(parser.prog)
+        return parse(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_read_command", reading)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parsing)
+    return reads, parses
 
 
 def reference_main(argv):
@@ -735,13 +776,24 @@ DISPATCH_ARGV = {
     "construct": ["construct", "heisenberg-generic", "--kappa", "2", "--scalar=-3",
                   "--sign", "-1"],
     "sweep": ["sweep", "--points", "3", "--kappa", "1", "--s-max=-1", "--tol", "1e-6"],
+    "two_positional_runs": ["check", "{path}", "--json", "{path}"],
+    "repeated_option": ["sweep", "--kappa", "5", "--points", "3", "--kappa", "1"],
+    "flag_equals": ["check", "{path}", "--json=1"],
+    "empty_explicit_value": ["sweep", "--kappa", "1", "--points", "2", "--csv="],
+    # argparse takes a token with a space as a value; float() rejects it
+    "dash_value_with_space": ["sweep", "--kappa", "-x y", "--points", "2"],
+    "negative_number_path": ["check", "-1.json"],
+    "attached_short_option": ["construct", "boundary", "--kappa", "1", "-o{tmp}/built.json"],
+    "underscore_int": ["sweep", "--kappa", "1", "--points", "1_000"],
+    "hex_int": ["sweep", "--kappa", "1", "--points", "0x10"],
+    "nan_tolerance": ["check", "{path}", "--tol", "nan"],
 }
 
 
 @pytest.mark.parametrize("argv", DISPATCH_ARGV.values(), ids=DISPATCH_ARGV.keys())
 def test_dispatch_matches_argparse(tmp_path, capsys, argv):
     path = write_doc(tmp_path, SKEW_HEISENBERG_DOC)
-    argv = [arg.replace("{path}", path) for arg in argv]
+    argv = [arg.replace("{path}", path).replace("{tmp}", str(tmp_path)) for arg in argv]
     outcomes = []
     for run in (cli.main, reference_main):
         try:
@@ -749,8 +801,69 @@ def test_dispatch_matches_argparse(tmp_path, capsys, argv):
         except SystemExit as stop:
             code = stop.code
         captured = capsys.readouterr()
-        outcomes.append((code, captured.out, captured.err))
+        written = tmp_path / "built.json"
+        outcomes.append((code, captured.out, captured.err,
+                         written.read_text() if written.exists() else None))
+        written.unlink(missing_ok=True)
     assert outcomes[0] == outcomes[1]
+
+
+def parse_outcome(parse, argv):
+    """What parse(argv) gives: its namespace's items, written by repr so
+    that NaN equals NaN and -0.0 differs from 0.0, or its exit code, stdout
+    and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return repr(sorted(vars(parse(argv)).items()))
+    except SystemExit as stop:
+        return stop.code, out.getvalue(), err.getvalue()
+
+
+def command_options(name, abbreviated):
+    """The option strings of a command's parser, with their abbreviations
+    if abbreviated."""
+    return sorted({option[:n] for action in cli._parser().commands[name]._actions
+                   for option in action.option_strings
+                   for n in range(2 if abbreviated else len(option), len(option) + 1)})
+
+
+NUMBERS = st.one_of(
+    st.from_regex(r"[+-]?(\d{1,3}(\.\d{0,2})?|\.\d{1,2})([eE][+-]?\d{1,3})?", fullmatch=True),
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "1_000", "0x10", "-0", "+-1"]),
+)
+WORDS = st.sampled_from(["x", "s.json", "-1.json", "boundary", "hyperbolic", "heisenberg-skew",
+                         "heisenberg-generic", "", "-", "--", "-h", "--help", "--version",
+                         "a b", "-x y", "--kappa 1", "=", "-o=x"])
+
+
+@st.composite
+def command_argv(draw):
+    """A command line: a command, then, in random order, pieces of a command
+    line: a value for most of the command's required options and
+    positionals (so that many lines are well formed), an option string
+    (exact or abbreviated) with a value in the next token or after "=", or
+    a lone number, word or option string."""
+    name = draw(st.sampled_from(sorted(cli._parser().commands)))
+    option = st.one_of(st.sampled_from(command_options(name, False)),
+                       st.sampled_from(command_options(name, True)))
+    value = st.one_of(st.just("1"), NUMBERS, WORDS)
+    needed = [[*action.option_strings[-1:], str((action.choices or ["1"])[0])]
+              for action in cli._parser().commands[name]._actions if action.required]
+    pieces = draw(st.lists(st.one_of(
+        st.tuples(option, value).map(list),
+        st.builds("{}={}".format, option, value).map(lambda token: [token]),
+        st.one_of(option, value).map(lambda token: [token]),
+    ), max_size=4))
+    pieces += [piece for piece in needed if draw(st.integers(0, 4))]
+    return [name] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_argv())
+def test_parse_matches_argparse(argv):
+    # main's parse gives argparse's own namespace, or its exit and output
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(cli._parser().parse_args, argv)
 
 
 @pytest.mark.parametrize(
